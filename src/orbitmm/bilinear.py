@@ -5,11 +5,22 @@ The combination rule is fixed once, derived from the pairing convention
 
     AB = sum_r <a_r, A> <b_r, B> c_r^T,   <X, Y> = tr(X^T Y).
 
-Recursion replaces the scalar inner products by block-weighted sums, padding
-inputs with zeros to the next power of dec.n and switching to the naive
-product at or below the cutoff size.  Scalar multiplication counts are exact:
-only the multiplications of the base-case products are counted (s^3 for an
-s x s base block), giving rank^depth * cutoff_cost overall.
+Recursion replaces the scalar inner products by block-weighted sums and
+switches to the plain product at or below the cutoff size.  Inputs whose size
+is not a power of dec.n are padded with zeros to the next one.  Scalar
+multiplication counts are exact: only the multiplications of the base-case
+products are counted (s^3 for an s x s base block), giving
+rank^depth * cutoff_cost overall.
+
+multiply_recursive first copies A and B once into a recursive block layout
+(index digits ordered i0, j0, i1, j1, ..., row, col), in which the n*n
+sub-blocks of every node form one contiguous (n*n, h*h) stack.  A term's
+block combination <a_r, A> is then one matrix-vector product of a_r with
+that stack, written into a buffer preallocated for the level; likewise for
+B.  The children's products accumulate in place into the parent's output
+blocks, and the leaves are written by np.matmul into their level's buffer.
+Each level holds three h x h buffers, never all rank products of a node.
+The result is copied back to row-major order once.
 """
 
 from __future__ import annotations
@@ -68,67 +79,123 @@ class MulReport:
     recursion_depth: int
 
 
-def _next_power(n: int, size: int) -> int:
-    p = 1
-    while p < size:
-        p *= n
-    return p
+def _plan(n: int, size: int, cutoff: int) -> tuple[int, int, int]:
+    """The count law: (padded size, recursion depth, leaf block size).
+
+    Inputs pad with zeros to the next power of n; the recursion splits
+    while the block is larger than the cutoff, so the executor makes
+    rank^depth leaf products of leaf^3 scalar multiplications each.
+    """
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    if n < 2 and size > 1:
+        raise ValueError("a 1x1 scheme cannot split a larger matrix")
+    padded = 1
+    while padded < size:
+        padded *= n
+    depth, leaf = 0, padded
+    while leaf > cutoff and leaf % n == 0:
+        leaf //= n
+        depth += 1
+    return padded, depth, leaf
+
+
+def _interleave(depth: int) -> list[int]:
+    """Axis order (i0, j0, i1, j1, ..., row, col) of a matrix reshaped to
+    (i0, ..., i_{depth-1}, row, j0, ..., j_{depth-1}, col)."""
+    return [a for k in range(depth + 1) for a in (k, depth + 1 + k)]
+
+
+def _to_blocks(M: np.ndarray, n: int, padded: int, depth: int, leaf: int) -> np.ndarray:
+    """M zero-padded to padded x padded, as a flat float64 array in the
+    recursive block layout: each node's n*n sub-blocks are one contiguous
+    (n*n, h*h) stack, itself in that layout, down to row-major leaves."""
+    if M.shape[0] != padded:
+        P = np.zeros((padded, padded))
+        P[: M.shape[0], : M.shape[1]] = M
+        M = P
+    digits = (n,) * depth + (leaf,)
+    X = M.reshape(digits + digits).transpose(_interleave(depth))
+    return np.ascontiguousarray(X, dtype=np.float64).reshape(-1)
+
+
+def _from_blocks(C: np.ndarray, n: int, size: int, padded: int, depth: int, leaf: int) -> np.ndarray:
+    """Inverse of _to_blocks, cropped to size x size; owns its data."""
+    digits = (n,) * depth + (leaf,)
+    out = np.empty((padded, padded))
+    view = out.reshape(digits + digits).transpose(_interleave(depth))
+    np.copyto(view, C.reshape(view.shape))
+    return out if padded == size else out[:size, :size].copy()
+
+
+def _compile(dec: Decomposition):
+    """Factor rows for the A and B sides, and for each term the C-side
+    writes (stack index, coefficient, first write to that block?) plus the
+    blocks no term writes.  c^T places block (i, j) of c at (j, i)."""
+    d = dec.to_float() if dec.exact else dec
+    nn = d.n * d.n
+    U, V, W = (
+        np.array([m.reshape(-1) for m in side], dtype=np.float64).reshape(-1, nn)
+        for side in ([t.a for t in d.terms], [t.b for t in d.terms], [t.c.T for t in d.terms])
+    )
+    nz = W != 0.0
+    first = nz & (nz.cumsum(axis=0) == 1)
+    writes = [[(k, W[r, k], first[r, k]) for k in np.flatnonzero(nz[r])] for r in range(len(W))]
+    return U, V, writes, np.flatnonzero(~nz.any(axis=0))
+
+
+def _node(X, Y, out, level, depth, leaf, code, bufs) -> int:
+    """out = X Y, all three flat in block layout; returns the number of
+    leaf products made."""
+    if level == depth:
+        np.matmul(X.reshape(leaf, leaf), Y.reshape(leaf, leaf), out=out.reshape(leaf, leaf))
+        return 1
+    U, V, writes, unwritten = code
+    P, Q, M = bufs[level]
+    nn = U.shape[1]
+    Xs, Ys, Cs = X.reshape(nn, -1), Y.reshape(nn, -1), out.reshape(nn, -1)
+    Cs[unwritten] = 0.0
+    leaves = 0
+    for u, v, term in zip(U, V, writes):
+        np.dot(u, Xs, out=P)
+        np.dot(v, Ys, out=Q)
+        leaves += _node(P, Q, M, level + 1, depth, leaf, code, bufs)
+        for k, coef, first in term:
+            blk = Cs[k]
+            if first:
+                np.multiply(M, coef, out=blk)
+            elif coef == 1.0:
+                np.add(blk, M, out=blk)
+            elif coef == -1.0:
+                np.subtract(blk, M, out=blk)
+            else:
+                # P is free once its child has run: reuse it as scratch
+                np.multiply(M, coef, out=P)
+                np.add(blk, P, out=blk)
+    return leaves
 
 
 def multiply_recursive(
     dec: Decomposition, A: np.ndarray, B: np.ndarray, cutoff: int = 1
 ) -> MulReport:
     """Recursive block multiplication driven by the decomposition."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("multiply_recursive needs square matrices of equal size")
-    n = dec.n
-    d = dec.to_float() if dec.exact else dec
-    size = A.shape[0]
-    padded = _next_power(n, max(size, 1))
-    Ap = np.zeros((padded, padded))
-    Bp = np.zeros((padded, padded))
-    Ap[:size, :size] = A
-    Bp[:size, :size] = B
-    mults = 0
-    depth = 0
-
-    def rec(X: np.ndarray, Y: np.ndarray, level: int) -> np.ndarray:
-        nonlocal mults, depth
-        depth = max(depth, level)
-        s = X.shape[0]
-        if s <= cutoff or s % n != 0:
-            mults += s**3
-            return X @ Y  # naive product of the base block
-        h = s // n
-        Xb = [[X[i * h : (i + 1) * h, j * h : (j + 1) * h] for j in range(n)] for i in range(n)]
-        Yb = [[Y[i * h : (i + 1) * h, j * h : (j + 1) * h] for j in range(n)] for i in range(n)]
-        C = np.zeros((s, s))
-        for t in d.terms:
-            P = np.zeros((h, h))
-            Q = np.zeros((h, h))
-            for i in range(n):
-                for j in range(n):
-                    if t.a[i, j] != 0.0:
-                        P += t.a[i, j] * Xb[i][j]
-                    if t.b[i, j] != 0.0:
-                        Q += t.b[i, j] * Yb[i][j]
-            M = rec(P, Q, level + 1)
-            for i in range(n):
-                for j in range(n):
-                    coef = t.c[i, j]
-                    if coef != 0.0:
-                        # c^T places block (i, j) of c at block position (j, i)
-                        C[j * h : (j + 1) * h, i * h : (i + 1) * h] += coef * M
-        return C
-
+    n, size = dec.n, A.shape[0]
+    padded, depth, leaf = _plan(n, size, cutoff)
     t0 = time.perf_counter()
-    Cp = rec(Ap, Bp, 0)
+    X = _to_blocks(A, n, padded, depth, leaf)
+    Y = _to_blocks(B, n, padded, depth, leaf)
+    C = np.empty(padded * padded)
+    # level l holds its child's h x h operands P, Q and product M
+    bufs = [tuple(np.empty((padded // n ** (level + 1)) ** 2) for _ in range(3)) for level in range(depth)]
+    leaves = _node(X, Y, C, 0, depth, leaf, _compile(dec), bufs)
+    del X, Y, bufs  # free the stacks and buffers before the copy back
+    result = _from_blocks(C, n, size, padded, depth, leaf)
     wall = time.perf_counter() - t0
     return MulReport(
-        result=Cp[:size, :size],
-        scalar_multiplications=mults,
+        result=result,
+        scalar_multiplications=leaves * leaf**3,
         wall_time=wall,
         recursion_depth=depth,
     )
@@ -136,13 +203,8 @@ def multiply_recursive(
 
 def predicted_mult_count(n: int, rank: int, size: int, cutoff: int = 1) -> int:
     """Exact multiplication count of multiply_recursive for the given shape."""
-    padded = _next_power(n, max(size, 1))
-    depth = 0
-    s = padded
-    while s > cutoff and s % n == 0:
-        s //= n
-        depth += 1
-    return rank**depth * s**3
+    _, depth, leaf = _plan(n, size, cutoff)
+    return rank**depth * leaf**3
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,6 @@ def _analyze(args) -> int:
     target = args.target
     if target == "strassen":
         k = args.theta_sixths if args.theta_sixths is not None else 0
-        dec = strassen_theta_sixths(k) if args.theta is None else strassen_theta(args.theta)
         theta = (k * math.pi / 6) if args.theta is None else args.theta
         frame = fixture_frame("triangle-2")
         from .constructions import standard_sigma_perm
@@ -159,10 +158,6 @@ def _analyze(args) -> int:
               constraints.necessary_conditions(u, v, sigma))
         return 0
     if target in ("s4-first", "s4-second"):
-        if target == "s4-first":
-            dec = s4_family("u", -1, 0.0)
-        else:
-            dec = s4_family("v", -1, 2 * math.pi / 3 * 0.75)
         u, v = _s4_uv(target)
         print("S4 constraint values (expect -1/4, 1/4, 1/32):", constraints.s4_constraints(u, v))
         print("necessary conditions (<v,u>, <v,su>, <v,s2u>):",
@@ -185,7 +180,7 @@ def _analyze(args) -> int:
 
 
 def _s4_uv(which: str):
-    from .constructions import _y_of, s4_family as _  # noqa: F401
+    from .constructions import _y_of
 
     sigma = constraints.S4_SIGMA
     if which == "s4-first":

@@ -37,6 +37,13 @@ class SchemaError(ValueError):
     """Raised when a file does not parse or violates the documented schema."""
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise SchemaError(f"{what} holds a non-finite value ({values.flat[bad[0]]}) at entry {bad[0]}")
+    return values
+
+
 def _dump_scalar(x, exact: bool) -> str:
     if exact:
         f = Fraction(x)
@@ -76,7 +83,7 @@ def _load_matrix_field(flat, n: int, exact: bool) -> np.ndarray:
         for idx, s in enumerate(flat):
             out[idx // n, idx % n] = Fraction(s)
         return out
-    return np.array([float(s) for s in flat]).reshape(n, n)
+    return _finite(np.array([float(s) for s in flat]), "float64 matrix").reshape(n, n)
 
 
 def load_decomposition(path) -> Decomposition:
@@ -125,4 +132,4 @@ def load_matrix(path) -> np.ndarray:
         raise SchemaError(f"malformed matrix file: {e}") from e
     if len(values) != rows * cols:
         raise SchemaError(f"matrix file has {len(values)} values, expected {rows * cols}")
-    return np.array(values).reshape(rows, cols)
+    return _finite(np.array(values), "matrix file").reshape(rows, cols)

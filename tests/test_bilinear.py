@@ -24,6 +24,54 @@ def lattice(n):
     return lattice_decomposition(simplex_frame(n))
 
 
+def _reference_recursive(dec, A, B, cutoff=1):
+    """The per-term loop executor: pads to the next power of n and, at each
+    node, forms every block combination and accumulates every product term
+    by term.  Returns (result, scalar multiplications, recursion depth)."""
+    n = dec.n
+    d = dec.to_float() if dec.exact else dec
+    size = A.shape[0]
+    padded = 1
+    while padded < max(size, 1):
+        padded *= n
+    Ap = np.zeros((padded, padded))
+    Bp = np.zeros((padded, padded))
+    Ap[:size, :size] = A
+    Bp[:size, :size] = B
+    mults = 0
+    depth = 0
+
+    def rec(X, Y, level):
+        nonlocal mults, depth
+        depth = max(depth, level)
+        s = X.shape[0]
+        if s <= cutoff or s % n != 0:
+            mults += s**3
+            return X @ Y
+        h = s // n
+        Xb = [[X[i * h : (i + 1) * h, j * h : (j + 1) * h] for j in range(n)] for i in range(n)]
+        Yb = [[Y[i * h : (i + 1) * h, j * h : (j + 1) * h] for j in range(n)] for i in range(n)]
+        C = np.zeros((s, s))
+        for t in d.terms:
+            P = np.zeros((h, h))
+            Q = np.zeros((h, h))
+            for i in range(n):
+                for j in range(n):
+                    if t.a[i, j] != 0.0:
+                        P += t.a[i, j] * Xb[i][j]
+                    if t.b[i, j] != 0.0:
+                        Q += t.b[i, j] * Yb[i][j]
+            M = rec(P, Q, level + 1)
+            for i in range(n):
+                for j in range(n):
+                    if t.c[i, j] != 0.0:
+                        # c^T places block (i, j) of c at block position (j, i)
+                        C[j * h : (j + 1) * h, i * h : (i + 1) * h] += t.c[i, j] * M
+        return C
+
+    return rec(Ap, Bp, 0)[:size, :size], mults, depth
+
+
 def test_naive_multiply_example():
     A = np.array([[1.0, 2], [3, 4]])
     B = np.array([[5.0, 6], [7, 8]])
@@ -118,6 +166,62 @@ def test_recursive_rejects_bad_input():
         multiply_recursive(dec, np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         multiply_recursive(dec, np.eye(2), np.eye(2), cutoff=0)
+
+
+# (size, cutoff, recursion depth): depths 0 to 3, padded sizes, and sizes at
+# or below the cutoff; n=4 stops at depth 2, where rank 61 makes 3721 leaves
+EXECUTOR_CASES = {
+    "orbit2": [(1, 1, 0), (4, 4, 0), (5, 8, 0), (5, 4, 1), (10, 4, 2), (17, 4, 3), (8, 1, 3)],
+    "lattice3": [(3, 3, 0), (5, 9, 0), (5, 3, 1), (10, 3, 2), (17, 1, 3)],
+    "lattice4": [(4, 4, 0), (3, 16, 0), (5, 4, 1), (10, 1, 2)],
+}
+EXECUTOR_DECS = {
+    "orbit2": lambda: orbit_decomposition(orbit_spec_for(2)),
+    "lattice3": lambda: lattice(3),
+    "lattice4": lambda: lattice(4),
+}
+
+
+@pytest.mark.parametrize("kind", ["float", "int"])
+@pytest.mark.parametrize("name", sorted(EXECUTOR_CASES))
+def test_recursive_matches_reference(name, kind, nprng):
+    dec = EXECUTOR_DECS[name]()
+    for size, cutoff, depth in EXECUTOR_CASES[name]:
+        if kind == "int":
+            A = nprng.integers(-9, 10, (size, size))
+            B = nprng.integers(-9, 10, (size, size))
+        else:
+            A = nprng.standard_normal((size, size))
+            B = nprng.standard_normal((size, size))
+        rep = multiply_recursive(dec, A, B, cutoff=cutoff)
+        ref, mults, ref_depth = _reference_recursive(dec, A, B, cutoff=cutoff)
+        assert (rep.scalar_multiplications, rep.recursion_depth) == (mults, ref_depth)
+        assert ref_depth == depth
+        assert mults == predicted_mult_count(dec.n, dec.rank, size, cutoff)
+        # the summation order differs from the reference's, so agreement is
+        # to a tolerance relative to the product's scale, fixed in advance
+        scale = float(np.abs(A @ B).max())
+        assert rep.result.shape == (size, size)
+        assert np.abs(rep.result - ref).max() <= 1e-12 * scale
+        assert np.abs(rep.result - A @ B).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("size", [8, 5])
+def test_recursive_result_owns_its_data(size, nprng):
+    dec = orbit_decomposition(orbit_spec_for(2))
+    A, B, A2, B2 = (nprng.standard_normal((size, size)) for _ in range(4))
+    first = multiply_recursive(dec, A, B, cutoff=2).result
+    kept = first.copy()
+    multiply_recursive(dec, A2, B2, cutoff=2)
+    assert np.array_equal(first, kept)
+    assert first.flags.owndata and first.base is None
+
+
+def test_recursive_rejects_unsplittable_scheme():
+    dec = lattice(1)
+    assert multiply_recursive(dec, np.array([[3.0]]), np.array([[2.0]])).result[0, 0] == 6.0
+    with pytest.raises(ValueError):
+        multiply_recursive(dec, np.eye(2), np.eye(2))
 
 
 def test_predicted_matches_executed():

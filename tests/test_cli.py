@@ -117,6 +117,18 @@ def test_verify_truncated_file_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_verify_non_finite_coefficient_exits_2(tmp_path, capsys):
+    path = tmp_path / "orb.json"
+    run(capsys, "gen", "--n", "2", "--scheme", "orbit", "-o", str(path))
+    doc = json.loads(path.read_text())
+    assert doc["scalar_kind"] == "float64"
+    doc["terms"][1]["b"][3] = "inf"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert "non-finite" in err
+
+
 def test_analyze_builtin_strassen(capsys):
     code, out, _ = run(capsys, "analyze", "strassen", "--theta-sixths", "1")
     assert code == 0
@@ -160,6 +172,17 @@ def test_multiply_stdout(tmp_path, capsys):
     code, out, _ = run(capsys, "multiply", str(dec), str(fa), str(fb))
     assert code == 0
     assert "19" in out and "50" in out
+
+
+def test_multiply_non_finite_matrix_exits_2(tmp_path, capsys):
+    dec = gen_lattice(tmp_path, capsys)
+    fa = tmp_path / "a.txt"
+    fb = tmp_path / "b.txt"
+    save_matrix(np.eye(2), fa)
+    fb.write_text("2 2\n1 nan\n0 1\n")
+    code, out, err = run(capsys, "multiply", str(dec), str(fa), str(fb))
+    assert code == 2
+    assert "non-finite" in err and out == ""
 
 
 def test_multiply_invalid_dec_refused_without_force(tmp_path, capsys):
