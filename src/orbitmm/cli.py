@@ -33,7 +33,7 @@ from .serialize import (
     save_decomposition,
     save_matrix,
 )
-from .tensor import mm_tensor
+from .tensor import mm_tensor, tensor_of
 from .verify import invariants_report, verify_exact_gram, verify_float
 
 SCHEMES = ("lattice", "orbit", "strassen-theta", "s4-family")
@@ -95,8 +95,6 @@ def _verify(args) -> int:
         residual = verify_exact_gram(frame)
         # tie the certificate to the file: the file's terms must match the frame
         regen = lattice_decomposition(frame)
-        from .tensor import tensor_of
-
         file_dev = float(
             np.abs(tensor_of(dec.to_float() if dec.exact else dec) - tensor_of(regen)).max()
         )
@@ -171,8 +169,6 @@ def _analyze(args) -> int:
     # otherwise treat as a decomposition file
     dec = load_decomposition(target)
     if dec.n == 2:
-        from .tensor import tensor_of
-
         _print_fourier_table(fourier2.fourier_coefficients(tensor_of(dec.to_float() if dec.exact else dec)))
     for line in invariants_report(dec).lines():
         print(line)

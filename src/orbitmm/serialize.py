@@ -127,9 +127,9 @@ def load_matrix(path) -> np.ndarray:
     tokens = text.split()
     try:
         rows, cols = int(tokens[0]), int(tokens[1])
-        values = [float(t) for t in tokens[2:]]
+        values = np.array(tokens[2:], dtype=np.float64)
     except (IndexError, ValueError) as e:
         raise SchemaError(f"malformed matrix file: {e}") from e
     if len(values) != rows * cols:
         raise SchemaError(f"matrix file has {len(values)} values, expected {rows * cols}")
-    return _finite(np.array(values), "matrix file").reshape(rows, cols)
+    return _finite(values, "matrix file").reshape(rows, cols)

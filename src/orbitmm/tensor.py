@@ -14,7 +14,16 @@ tr ABC.  This orientation is fixed here, in this one place.
 
 Two scalar kinds are supported: float64 arrays, and object arrays holding
 `fractions.Fraction` values for exact work.  A decomposition is homogeneous
-in scalar kind; conversion is explicit (`to_float`, `to_exact`).
+in scalar kind (mixing them raises ValueError); conversion is explicit
+(`to_float`).
+
+`tensor_of` builds the dense tensor from the factor stacks U, V, W of shape
+(r, n, n), in the CP (Kruskal) factor-matrix form: the row-wise Kronecker
+product KR[r] = a_r (x) b_r (r x n^4) times W (r x n^2) is one GEMM, taken
+over chunks of n^2 terms so that no temporary exceeds the n^6 entries of the
+result.  Every dense n^6 tensor (`tensor_of`, `mm_tensor`) is refused with a
+ValueError, before anything is allocated, when its float64 size would
+exceed MAX_DENSE_BYTES.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import numpy as np
 __all__ = [
     "Rank1Term",
     "Decomposition",
+    "MAX_DENSE_BYTES",
     "exact_matrix",
     "exact_identity",
     "is_exact",
@@ -38,6 +48,10 @@ __all__ = [
     "frobenius_inner",
     "operator_trace",
 ]
+
+
+# Largest dense n^6 tensor built here: 1 GiB of float64 entries, so n <= 22.
+MAX_DENSE_BYTES = 1 << 30
 
 
 def is_exact(arr: np.ndarray) -> bool:
@@ -93,6 +107,8 @@ class Decomposition:
         for t in self.terms:
             if t.n != self.n:
                 raise ValueError("term dimension does not match decomposition")
+        if len({is_exact(m) for t in self.terms for m in (t.a, t.b, t.c)}) > 1:
+            raise ValueError("decomposition mixes exact (Fraction) and float factors")
         object.__setattr__(self, "terms", tuple(self.terms))
 
     @property
@@ -102,6 +118,16 @@ class Decomposition:
     @property
     def exact(self) -> bool:
         return bool(self.terms) and is_exact(self.terms[0].a)
+
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The factor stacks U, V, W, each of shape (rank, n, n): object
+        arrays of Fractions when exact, float64 otherwise."""
+        dtype = object if self.exact else np.float64
+        shape = (self.rank, self.n, self.n)
+        return tuple(
+            np.array([getattr(t, s) for t in self.terms], dtype=dtype).reshape(shape)
+            for s in "abc"
+        )
 
     def to_float(self) -> "Decomposition":
         terms = tuple(
@@ -113,10 +139,20 @@ class Decomposition:
         return Decomposition(self.n, terms, self.scheme, dict(self.params))
 
 
+def _require_dense_size(n: int) -> None:
+    nbytes = 8 * n**6
+    if nbytes > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"a dense tensor for n={n} needs {nbytes} bytes ({n}^6 float64 entries), "
+            f"above the limit of {MAX_DENSE_BYTES} bytes"
+        )
+
+
 def mm_tensor(n: int, exact: bool = False) -> np.ndarray:
     """The n x n matrix multiplication tensor: entry 1 iff d=b, e=c, f=a."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _require_dense_size(n)
     if exact:
         T = np.full((n,) * 6, Fraction(0), dtype=object)
         one = Fraction(1)
@@ -149,16 +185,21 @@ def tensor_of(dec: Decomposition, include_identity: bool = True) -> np.ndarray:
     skipped, leaving only the orbit/lattice part of the sum.
     """
     n = dec.n
+    _require_dense_size(n)
+    n2 = n * n
+    U, V, W = (X.reshape(-1, n2) for X in dec.factors())
+    if not include_identity and dec.terms and _is_identity_term(dec.terms[0]):
+        U, V, W = U[1:], V[1:], W[1:]
+    # T = W^T KR, the transpose of KR^T W: rows (c, f), columns (a, d, b, e)
     if dec.exact:
-        T = np.full((n,) * 6, Fraction(0), dtype=object)
+        T = np.full((n2, n2 * n2), Fraction(0), dtype=object)
     else:
-        T = np.zeros((n,) * 6)
-    terms = dec.terms
-    if not include_identity and terms and _is_identity_term(terms[0]):
-        terms = terms[1:]
-    for t in terms:
-        T = T + rank1_tensor(t.a, t.b, t.c)
-    return T
+        T = np.zeros((n2, n2 * n2))
+    # chunks of n^2 terms: the Khatri-Rao block and the product are n^6 each
+    for s in range(0, len(U), n2):
+        kr = (U[s : s + n2, :, None] * V[s : s + n2, None, :]).reshape(-1, n2 * n2)
+        T += W[s : s + n2].T @ kr
+    return T.reshape((n,) * 6).transpose(2, 4, 0, 3, 5, 1)
 
 
 def _is_identity_term(t: Rank1Term) -> bool:

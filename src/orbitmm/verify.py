@@ -165,10 +165,8 @@ def invariants_report(dec: Decomposition) -> InvariantsReport:
     d = dec.to_float() if dec.exact else dec
     T = tensor_of(d)
     mm = mm_tensor(dec.n)
-    factor_ranks = tuple(
-        tuple(int(np.linalg.matrix_rank(m, tol=1e-9)) for m in (t.a, t.b, t.c))
-        for t in d.terms
-    )
+    ranks = (np.linalg.matrix_rank(X, tol=1e-9).tolist() for X in d.factors())
+    factor_ranks = tuple(zip(*ranks))
     return InvariantsReport(
         n=dec.n,
         rank=dec.rank,

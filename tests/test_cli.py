@@ -129,6 +129,25 @@ def test_verify_non_finite_coefficient_exits_2(tmp_path, capsys):
     assert "non-finite" in err
 
 
+def test_verify_oversized_n_exits_2(tmp_path, capsys):
+    # one term at n = 40: its dense tensor would need 8 * 40^6 bytes (about 33 GB)
+    n = 40
+    eye = ["1" if i == j else "0" for i in range(n) for j in range(n)]
+    doc = {
+        "format_version": 1,
+        "n": n,
+        "scheme": "imported",
+        "params": {},
+        "scalar_kind": "float64",
+        "terms": [{"a": eye, "b": eye, "c": eye}],
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert "n=40" in err and str(8 * n**6) in err
+
+
 def test_analyze_builtin_strassen(capsys):
     code, out, _ = run(capsys, "analyze", "strassen", "--theta-sixths", "1")
     assert code == 0

@@ -5,7 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+from orbitmm.constructions import lattice_decomposition, orbit_decomposition, orbit_spec_for
+from orbitmm.frames import simplex_frame
 from orbitmm.tensor import (
+    MAX_DENSE_BYTES,
     Decomposition,
     Rank1Term,
     exact_identity,
@@ -90,7 +93,9 @@ def test_pairing_matches_triple_trace_exact(rng):
 
 def test_tensor_of_empty():
     dec = Decomposition(2, ())
-    assert np.all(tensor_of(dec) == 0.0)
+    T = tensor_of(dec)
+    assert T.shape == (2,) * 6 and T.dtype == np.float64
+    assert np.all(T == 0.0)
 
 
 def test_tensor_of_identity_term():
@@ -120,6 +125,84 @@ def test_tensor_of_linearity(rng):
     assert np.array_equal(whole, parts)
 
 
+def _reference_tensor_of(dec, include_identity=True):
+    """The per-term sum tensor_of replaced: one dense rank-1 tensor per term."""
+    n = dec.n
+    if dec.exact:
+        T = np.full((n,) * 6, Fraction(0), dtype=object)
+    else:
+        T = np.zeros((n,) * 6)
+    terms = dec.terms
+    eye = exact_identity(n) if dec.exact else np.eye(n)
+    if not include_identity and terms and all(np.array_equal(m, eye) for m in (terms[0].a, terms[0].b, terms[0].c)):
+        terms = terms[1:]
+    for t in terms:
+        T = T + rank1_tensor(t.a, t.b, t.c)
+    return T
+
+
+def _random_exact_dec(rng, n, rank):
+    terms = tuple(
+        Rank1Term(*(random_exact_matrix(rng, n) for _ in range(3))) for _ in range(rank)
+    )
+    return Decomposition(n, terms)
+
+
+@pytest.mark.parametrize(
+    "dec",
+    [
+        orbit_decomposition(orbit_spec_for(2)),
+        orbit_decomposition(orbit_spec_for(4)),
+        lattice_decomposition(simplex_frame(3)),  # rank 25, not a multiple of the chunk of 9
+        lattice_decomposition(simplex_frame(5)),
+    ],
+    ids=["orbit2", "orbit4", "lattice3", "lattice5"],
+)
+@pytest.mark.parametrize("include_identity", [True, False])
+def test_tensor_of_matches_reference_float(dec, include_identity):
+    got = tensor_of(dec, include_identity=include_identity)
+    want = _reference_tensor_of(dec, include_identity=include_identity)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, rank", [(1, 3), (2, 4), (2, 9), (3, 11)])
+def test_tensor_of_matches_reference_exact(rng, n, rank):
+    dec = _random_exact_dec(rng, n, rank)
+    got = tensor_of(dec)
+    assert got.dtype == object
+    assert np.array_equal(got, _reference_tensor_of(dec))
+
+
+def test_tensor_of_exact_skip_identity(rng):
+    eye = exact_identity(2)
+    rest = _random_exact_dec(rng, 2, 5).terms
+    dec = Decomposition(2, (Rank1Term(eye, eye, eye),) + rest)
+    got = tensor_of(dec, include_identity=False)
+    assert np.array_equal(got, _reference_tensor_of(dec, include_identity=False))
+    only = tensor_of(Decomposition(2, (Rank1Term(eye, eye, eye),)), include_identity=False)
+    assert only.dtype == object and all(x == 0 and isinstance(x, Fraction) for x in only.flat)
+
+
+def test_tensor_of_lattice12():
+    dec = lattice_decomposition(simplex_frame(12))
+    assert dec.rank == 1717
+    assert np.abs(tensor_of(dec) - mm_tensor(12)).max() < 1e-9
+    # the per-term reference costs ~20 ms a term here: take one chunk of
+    # 144 terms and two more, so the sum crosses a chunk boundary
+    head = Decomposition(12, dec.terms[:146])
+    assert np.abs(tensor_of(head) - _reference_tensor_of(head)).max() <= 1e-12
+
+
+def test_dense_size_guard():
+    n = 23  # 8 * 23^6 bytes is just above the limit; n = 22 is just below
+    assert 8 * 22**6 <= MAX_DENSE_BYTES < 8 * n**6
+    with pytest.raises(ValueError, match=f"n={n} needs {8 * n**6} bytes"):
+        tensor_of(Decomposition(n, ()))
+    with pytest.raises(ValueError, match=f"n={n}"):
+        mm_tensor(n)
+
+
 def test_frobenius_inner_examples():
     assert frobenius_inner(mm_tensor(2), mm_tensor(2)) == pytest.approx(8.0)
     assert frobenius_inner(mm_tensor(3), mm_tensor(3)) == pytest.approx(27.0)
@@ -141,6 +224,14 @@ def test_decomposition_rejects_mismatched_term():
     eye = np.eye(3)
     with pytest.raises(ValueError):
         Decomposition(2, (Rank1Term(eye, eye, eye),))
+
+
+def test_decomposition_rejects_mixed_scalar_kinds():
+    exact, flt = exact_identity(2), np.eye(2)
+    with pytest.raises(ValueError, match="mixes"):
+        Decomposition(2, (Rank1Term(exact, exact, exact), Rank1Term(flt, flt, flt)))
+    with pytest.raises(ValueError, match="mixes"):
+        Decomposition(2, (Rank1Term(exact, flt, exact),))
 
 
 def test_rank1term_requires_matching_shapes():
