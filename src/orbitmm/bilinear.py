@@ -10,7 +10,9 @@ switches to the plain product at or below the cutoff size.  Inputs whose size
 is not a power of dec.n are padded with zeros to the next one.  Scalar
 multiplication counts are exact: only the multiplications of the base-case
 products are counted (s^3 for an s x s base block), giving
-rank^depth * cutoff_cost overall.
+rank^depth * cutoff_cost overall.  There is one executor, multiply_recursive;
+multiply_via is its one-level case (cutoff 1 at the decomposition's own
+size).
 
 multiply_recursive first copies A and B once into a recursive block layout
 (index digits ordered i0, j0, i1, j1, ..., row, col), in which the n*n
@@ -20,7 +22,8 @@ that stack, written into a buffer preallocated for the level; likewise for
 B.  The children's products accumulate in place into the parent's output
 blocks, and the leaves are written by np.matmul into their level's buffer.
 Each level holds three h x h buffers, never all rank products of a node.
-The result is copied back to row-major order once.
+The result is copied back to row-major order once.  The factor rows come
+straight from the decomposition's stacks U, V and W (transposed for c^T).
 """
 
 from __future__ import annotations
@@ -60,15 +63,12 @@ def naive_multiply(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def multiply_via(dec: Decomposition, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """One application of the bilinear rule at the decomposition's own size."""
+    """One application of the bilinear rule at the decomposition's own size:
+    one level of multiply_recursive."""
     n = dec.n
     if A.shape != (n, n) or B.shape != (n, n):
         raise ValueError(f"multiply_via needs {n}x{n} inputs")
-    d = dec.to_float() if dec.exact else dec
-    C = np.zeros((n, n))
-    for t in d.terms:
-        C += float((t.a * A).sum()) * float((t.b * B).sum()) * t.c.T
-    return C
+    return multiply_recursive(dec, A, B, cutoff=1).result
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,10 @@ def _compile(dec: Decomposition):
     """Factor rows for the A and B sides, and for each term the C-side
     writes (stack index, coefficient, first write to that block?) plus the
     blocks no term writes.  c^T places block (i, j) of c at (j, i)."""
-    d = dec.to_float() if dec.exact else dec
+    d = dec.to_float()
     nn = d.n * d.n
-    U, V, W = (
-        np.array([m.reshape(-1) for m in side], dtype=np.float64).reshape(-1, nn)
-        for side in ([t.a for t in d.terms], [t.b for t in d.terms], [t.c.T for t in d.terms])
-    )
+    U, V = d.U.reshape(-1, nn), d.V.reshape(-1, nn)
+    W = d.W.transpose(0, 2, 1).reshape(-1, nn)
     nz = W != 0.0
     first = nz & (nz.cumsum(axis=0) == 1)
     writes = [[(k, W[r, k], first[r, k]) for k in np.flatnonzero(nz[r])] for r in range(len(W))]

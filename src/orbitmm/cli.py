@@ -15,17 +15,20 @@ import sys
 import numpy as np
 
 from . import constraints, fourier2
-from .bilinear import benchmark, format_bench_table, multiply_recursive, multiply_via
+from .bilinear import benchmark, format_bench_table, multiply_recursive
 from .constructions import (
     lattice_decomposition,
     orbit_decomposition,
     orbit_spec_for,
     s4_family,
+    s4_family_spec,
     s5_fixture,
     strassen_theta,
     strassen_theta_sixths,
+    strassen_theta_sixths_spec,
+    strassen_theta_spec,
 )
-from .frames import fixture_frame, simplex_frame
+from .frames import fixture_frame, lift_permutation, simplex_frame
 from .serialize import (
     SchemaError,
     load_decomposition,
@@ -38,6 +41,8 @@ from .verify import invariants_report, verify_exact_gram, verify_float
 
 SCHEMES = ("lattice", "orbit", "strassen-theta", "s4-family")
 BUILTINS = ("strassen", "s4-first", "s4-second", "s5")
+# (which, sign, theta) of the two named n=3 seeds
+S4_BUILTINS = {"s4-first": ("u", -1, 0.0), "s4-second": ("v", -1, math.pi / 2)}
 
 
 class UsageError(Exception):
@@ -96,7 +101,7 @@ def _verify(args) -> int:
         # tie the certificate to the file: the file's terms must match the frame
         regen = lattice_decomposition(frame)
         file_dev = float(
-            np.abs(tensor_of(dec.to_float() if dec.exact else dec) - tensor_of(regen)).max()
+            np.abs(tensor_of(dec.to_float()) - tensor_of(regen)).max()
         )
         valid = residual == 0 and file_dev < args.tol
         if args.json:
@@ -138,62 +143,31 @@ def _print_fourier_table(coeffs):
 
 def _analyze(args) -> int:
     target = args.target
-    if target == "strassen":
-        k = args.theta_sixths if args.theta_sixths is not None else 0
-        theta = (k * math.pi / 6) if args.theta is None else args.theta
-        frame = fixture_frame("triangle-2")
-        from .constructions import standard_sigma_perm
-        from .frames import lift_permutation
-
-        sigma = lift_permutation(frame, standard_sigma_perm(3))
-        u = np.array([math.cos(theta), math.sin(theta)])
-        v = 2.0 / 3.0 * (sigma @ u - u)
-        m = np.outer(u, v)
-        _print_fourier_table(fourier_coefficients_exact_mm())
-        res = fourier2.strassen_equations(m)
-        print("constraint residuals:", ", ".join(f"{r:.3e}" for r in res))
-        print("necessary conditions (<v,u>, <v,su>, <v,s2u>):",
-              constraints.necessary_conditions(u, v, sigma))
-        return 0
-    if target in ("s4-first", "s4-second"):
-        u, v = _s4_uv(target)
-        print("S4 constraint values (expect -1/4, 1/4, 1/32):", constraints.s4_constraints(u, v))
-        print("necessary conditions (<v,u>, <v,su>, <v,s2u>):",
-              constraints.necessary_conditions(u, v, constraints.S4_SIGMA))
+    if target not in BUILTINS:  # a decomposition file
+        dec = load_decomposition(target)
+        if dec.n == 2:
+            _print_fourier_table(fourier2.fourier_coefficients(tensor_of(dec.to_float())))
+        for line in invariants_report(dec).lines():
+            print(line)
         return 0
     if target == "s5":
         fx = s5_fixture()
-        print("necessary conditions (<v,u>, <v,su>, <v,s2u>):",
-              constraints.necessary_conditions(fx.u, fx.v, fx.sigma))
-        return 0
-    # otherwise treat as a decomposition file
-    dec = load_decomposition(target)
-    if dec.n == 2:
-        _print_fourier_table(fourier2.fourier_coefficients(tensor_of(dec.to_float() if dec.exact else dec)))
-    for line in invariants_report(dec).lines():
-        print(line)
-    return 0
-
-
-def _s4_uv(which: str):
-    from .constructions import _y_of
-
-    sigma = constraints.S4_SIGMA
-    if which == "s4-first":
-        theta = 0.0
-        y = _y_of(theta)
-        u = y - 1 / (2 * math.sqrt(6)) * np.array([-1.0, -1.0, -1.0])
-        v = constraints.z_from_y(y, sigma)
+        u, v, sigma = fx.u, fx.v, fx.sigma
     else:
-        theta = 2 * math.pi / 3 * 0.75
-        y = _y_of(theta)
-        u = y
-        v = constraints.z_from_y(y, sigma) - 1 / (3 * math.sqrt(2)) * np.array([-1.0, -1.0, -1.0])
-    return u, v
-
-
-def fourier_coefficients_exact_mm():
-    return fourier2.fourier_coefficients(mm_tensor(2, exact=True))
+        if target == "strassen":
+            if args.theta_sixths is not None and args.theta is None:
+                spec = strassen_theta_sixths_spec(args.theta_sixths)
+            else:
+                spec = strassen_theta_spec(_theta_from_args(args))
+            _print_fourier_table(fourier2.fourier_coefficients(mm_tensor(2, exact=True)))
+            res = fourier2.strassen_equations(np.outer(spec.u, spec.v))
+            print("constraint residuals:", ", ".join(f"{r:.3e}" for r in res))
+        else:
+            spec = s4_family_spec(*S4_BUILTINS[target])
+            print("S4 constraint values (expect -1/4, 1/4, 1/32):", constraints.s4_constraints(spec.u, spec.v))
+        u, v, sigma = spec.u, spec.v, lift_permutation(spec.frame, spec.sigma_perm)
+    print("necessary conditions (<v,u>, <v,su>, <v,s2u>):", constraints.necessary_conditions(u, v, sigma))
+    return 0
 
 
 def _multiply(args) -> int:
@@ -210,10 +184,7 @@ def _multiply(args) -> int:
         )
         if not args.force:
             return 1
-    if A.shape == (dec.n, dec.n):
-        C = multiply_via(dec, A, B)
-    else:
-        C = multiply_recursive(dec, A, B, cutoff=args.cutoff).result
+    C = multiply_recursive(dec, A, B, cutoff=args.cutoff).result
     if args.output:
         save_matrix(C, args.output)
         print(f"wrote {args.output}")

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
 from .frames import Frame, fixture_frame, lift_permutation
-from .tensor import Decomposition, Rank1Term
+from .tensor import Decomposition
 
 __all__ = [
     "OrbitSpec",
@@ -27,8 +27,11 @@ __all__ = [
     "lattice_decomposition",
     "orbit_decomposition",
     "orbit_spec_for",
+    "strassen_theta_spec",
     "strassen_theta",
+    "strassen_theta_sixths_spec",
     "strassen_theta_sixths",
+    "s4_family_spec",
     "s4_family",
     "S5Fixture",
     "s5_fixture",
@@ -122,6 +125,13 @@ def standard_uv(frame: Frame) -> tuple[np.ndarray, np.ndarray]:
 SQ2, SQ3 = math.sqrt(2), math.sqrt(3)
 
 
+def _with_identity(stacks, scheme: str, params: dict) -> Decomposition:
+    """The decomposition 1 (x) 1 (x) 1 followed by the terms of the stacks."""
+    eye = np.eye(stacks[0].shape[1])[None]
+    U, V, W = (np.concatenate([eye, X]) for X in stacks)
+    return Decomposition(U, V, W, scheme, params)
+
+
 def lattice_decomposition(frame: Frame) -> Decomposition:
     """The triple-sum construction over a simplex frame.
 
@@ -133,22 +143,13 @@ def lattice_decomposition(frame: Frame) -> Decomposition:
     n = frame.n
     w = frame.vectors
     c = n / (n + 1)
-    eye = np.eye(n)
-    terms = [Rank1Term(eye, eye, eye)]
-    k_ = frame.size
-    for i in range(k_):
-        for j in range(k_):
-            for k in range(k_):
-                if i == j or j == k or k == i:
-                    continue
-                terms.append(
-                    Rank1Term(
-                        c * np.outer(w[i], w[j] - w[i]),
-                        c * np.outer(w[j], w[k] - w[j]),
-                        c * np.outer(w[k], w[i] - w[k]),
-                    )
-                )
-    return Decomposition(n, tuple(terms), "lattice", {"frame": frame.label})
+    triples = [t for t in product(range(frame.size), repeat=3) if len(set(t)) == 3]
+    i, j, k = np.array(triples, dtype=int).reshape(-1, 3).T
+
+    def dyads(x, y):  # c |w_x><w_y - w_x| for each pair of index arrays
+        return c * (w[x][:, :, None] * (w[y] - w[x])[:, None, :])
+
+    return _with_identity((dyads(i, j), dyads(j, k), dyads(k, i)), "lattice", {"frame": frame.label})
 
 
 def orbit_decomposition(spec: OrbitSpec, scheme: str = "orbit", params: dict | None = None) -> Decomposition:
@@ -156,22 +157,16 @@ def orbit_decomposition(spec: OrbitSpec, scheme: str = "orbit", params: dict | N
     conjugation by the group, where m1 = u v^T and m2, m3 are its conjugates
     by the lifted order-3 element."""
     frame = spec.frame
-    n = frame.n
     sigma = lift_permutation(frame, spec.sigma_perm)
     m1 = np.outer(spec.u, spec.v)
     m2 = sigma @ m1 @ sigma.T
     m3 = sigma @ m2 @ sigma.T
-    eye = np.eye(n)
-    terms = [Rank1Term(eye, eye, eye)]
-    for g in spec.group:
-        rho = lift_permutation(frame, g)
-        terms.append(
-            Rank1Term(rho @ m1 @ rho.T, rho @ m2 @ rho.T, rho @ m3 @ rho.T)
-        )
+    rho = np.array([lift_permutation(frame, g) for g in spec.group])
+    rho_t = rho.transpose(0, 2, 1)
     p = {"frame": frame.label}
     if params:
         p.update(params)
-    return Decomposition(n, tuple(terms), scheme, p)
+    return _with_identity([rho @ m @ rho_t for m in (m1, m2, m3)], scheme, p)
 
 
 _STANDARD_FIXTURES = {2: "triangle-2", 3: "tetrahedron-3", 4: "simplex-4"}
@@ -190,26 +185,33 @@ def orbit_spec_for(n: int, frame: Frame | None = None) -> OrbitSpec:
 _COS_SIXTHS = [1.0, SQ3 / 2, 0.5, 0.0, -0.5, -SQ3 / 2, -1.0, -SQ3 / 2, -0.5, 0.0, 0.5, SQ3 / 2]
 
 
-def strassen_theta(theta: float) -> Decomposition:
+def strassen_theta_spec(theta: float) -> OrbitSpec:
     """The one-parameter n=2 family: u = (cos t, sin t), v = (2/3)(sigma u - u),
     orbit over S3 on the triangle frame.  Valid iff sin 6t = 0."""
-    frame = fixture_frame("triangle-2")
-    u = np.array([math.cos(theta), math.sin(theta)])
-    return _strassen_from_u(frame, u, {"theta": theta})
+    return _strassen_spec(np.array([math.cos(theta), math.sin(theta)]))
+
+
+def strassen_theta(theta: float) -> Decomposition:
+    """The decomposition of strassen_theta_spec(theta)."""
+    return orbit_decomposition(strassen_theta_spec(theta), "strassen-theta", {"theta": theta})
+
+
+def strassen_theta_sixths_spec(k: int) -> OrbitSpec:
+    """strassen_theta_spec at theta = k*pi/6, built from exact trig values."""
+    return _strassen_spec(np.array([_COS_SIXTHS[k % 12], _COS_SIXTHS[(k - 3) % 12]]))
 
 
 def strassen_theta_sixths(k: int) -> Decomposition:
-    """strassen_theta at theta = k*pi/6, built from exact trig values."""
-    u = np.array([_COS_SIXTHS[k % 12], _COS_SIXTHS[(k - 3) % 12]])
-    return _strassen_from_u(fixture_frame("triangle-2"), u, {"theta_sixths": k})
+    """The decomposition of strassen_theta_sixths_spec(k)."""
+    return orbit_decomposition(strassen_theta_sixths_spec(k), "strassen-theta", {"theta_sixths": k})
 
 
-def _strassen_from_u(frame: Frame, u: np.ndarray, params: dict) -> Decomposition:
+def _strassen_spec(u: np.ndarray) -> OrbitSpec:
+    frame = fixture_frame("triangle-2")
     sigma_perm = standard_sigma_perm(3)
     sigma = lift_permutation(frame, sigma_perm)
     v = 2.0 / 3.0 * (sigma @ u - u)
-    spec = OrbitSpec(frame, symmetric_group(3), sigma_perm, u, v)
-    return orbit_decomposition(spec, "strassen-theta", params)
+    return OrbitSpec(frame, symmetric_group(3), sigma_perm, u, v)
 
 
 def _y_of(theta: float) -> np.ndarray:
@@ -222,7 +224,7 @@ def _y_of(theta: float) -> np.ndarray:
     )
 
 
-def s4_family(which: str, sign: int, theta: float) -> Decomposition:
+def s4_family_spec(which: str, sign: int, theta: float) -> OrbitSpec:
     """The two-parameter n=3 families on the tetrahedron.
 
     which "u": u = y(theta) + a*(-1,-1,-1), v = z, a = sign/(2 sqrt 6);
@@ -247,10 +249,13 @@ def s4_family(which: str, sign: int, theta: float) -> Decomposition:
     else:
         u = y
         v = z + sign / (3 * SQ2) * w4_raw
-    spec = OrbitSpec(frame, symmetric_group(4), sigma_perm, u, v)
-    return orbit_decomposition(
-        spec, "s4-family", {"which": which, "sign": sign, "theta": theta}
-    )
+    return OrbitSpec(frame, symmetric_group(4), sigma_perm, u, v)
+
+
+def s4_family(which: str, sign: int, theta: float) -> Decomposition:
+    """The decomposition of s4_family_spec(which, sign, theta)."""
+    spec = s4_family_spec(which, sign, theta)
+    return orbit_decomposition(spec, "s4-family", {"which": which, "sign": sign, "theta": theta})
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 

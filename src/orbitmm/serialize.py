@@ -13,6 +13,9 @@ Decomposition files are JSON documents:
 
 with each matrix stored row-major; rationals serialize as "p/q" strings and
 floats as 17-significant-digit decimals, so both kinds round-trip losslessly.
+The file keeps one record per term; in memory each side is one factor stack
+(see `tensor`).  Loading parses a side of all terms at once: one float64
+array conversion, or one list of Fractions for rational files.
 
 Matrix files are plain text: first line "rows cols", then row-major
 whitespace-separated decimals.
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Decomposition, Rank1Term
+from .tensor import Decomposition
 
 __all__ = ["SchemaError", "save_decomposition", "load_decomposition", "save_matrix", "load_matrix"]
 
@@ -51,39 +54,36 @@ def _dump_scalar(x, exact: bool) -> str:
     return format(float(x), ".17g")
 
 
-def _dump_matrix(m: np.ndarray, exact: bool) -> list[str]:
-    return [_dump_scalar(x, exact) for x in m.reshape(-1)]
+def _dump_stack(X: np.ndarray, exact: bool) -> list[list[str]]:
+    """Each factor of a stack as its row-major list of scalar strings."""
+    return [[_dump_scalar(x, exact) for x in row] for row in X.reshape(len(X), -1).tolist()]
 
 
 def save_decomposition(dec: Decomposition, path) -> None:
     exact = dec.exact
+    a, b, c = (_dump_stack(X, exact) for X in (dec.U, dec.V, dec.W))
     doc = {
         "format_version": FORMAT_VERSION,
         "n": dec.n,
         "scheme": dec.scheme,
         "params": dec.params,
         "scalar_kind": "rational" if exact else "float64",
-        "terms": [
-            {
-                "a": _dump_matrix(t.a, exact),
-                "b": _dump_matrix(t.b, exact),
-                "c": _dump_matrix(t.c, exact),
-            }
-            for t in dec.terms
-        ],
+        "terms": [{"a": x, "b": y, "c": z} for x, y, z in zip(a, b, c)],
     }
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
-def _load_matrix_field(flat, n: int, exact: bool) -> np.ndarray:
-    if len(flat) != n * n:
-        raise SchemaError(f"matrix has {len(flat)} entries, expected {n * n}")
+def _load_stack(rows: list, n: int, exact: bool) -> np.ndarray:
+    """One side of the file's terms, each a row-major list of n*n scalar
+    strings, as a (rank, n, n) stack."""
+    for row in rows:
+        if len(row) != n * n:
+            raise SchemaError(f"matrix has {len(row)} entries, expected {n * n}")
     if exact:
-        out = np.empty((n, n), dtype=object)
-        for idx, s in enumerate(flat):
-            out[idx // n, idx % n] = Fraction(s)
-        return out
-    return _finite(np.array([float(s) for s in flat]), "float64 matrix").reshape(n, n)
+        X = np.array([Fraction(s) for row in rows for s in row], dtype=object)
+    else:
+        X = _finite(np.array(rows, dtype=np.float64), "float64 matrix")
+    return X.reshape(len(rows), n, n)
 
 
 def load_decomposition(path) -> Decomposition:
@@ -96,15 +96,9 @@ def load_decomposition(path) -> Decomposition:
             raise SchemaError(f"unsupported format_version {doc['format_version']}")
         n = int(doc["n"])
         exact = doc["scalar_kind"] == "rational"
-        terms = tuple(
-            Rank1Term(
-                _load_matrix_field(t["a"], n, exact),
-                _load_matrix_field(t["b"], n, exact),
-                _load_matrix_field(t["c"], n, exact),
-            )
-            for t in doc["terms"]
-        )
-        return Decomposition(n, terms, doc.get("scheme", "imported"), doc.get("params", {}))
+        terms = doc["terms"]
+        U, V, W = (_load_stack([t[s] for t in terms], n, exact) for s in "abc")
+        return Decomposition(U, V, W, doc.get("scheme", "imported"), doc.get("params", {}))
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, SchemaError):
             raise

@@ -12,18 +12,23 @@ equals the row index of the next, cyclically), which is what makes the
 pairing <MM, A (x) B (x) C> = sum MM[a..f] A[a,d] B[b,e] C[c,f] equal
 tr ABC.  This orientation is fixed here, in this one place.
 
-Two scalar kinds are supported: float64 arrays, and object arrays holding
+A decomposition is stored once, as its CP (Kruskal) factor stacks U, V, W,
+each of shape (r, n, n): term r is U[r] (x) V[r] (x) W[r].  Every module
+reads the stacks; the derived `terms` property is a tuple of (a, b, c)
+views into them, for callers that want one term at a time.
+
+Two scalar kinds are supported: float64 stacks, and object stacks holding
 `fractions.Fraction` values for exact work.  A decomposition is homogeneous
 in scalar kind (mixing them raises ValueError); conversion is explicit
-(`to_float`).
+(`to_float`, which returns the decomposition itself when it is already
+float64).
 
-`tensor_of` builds the dense tensor from the factor stacks U, V, W of shape
-(r, n, n), in the CP (Kruskal) factor-matrix form: the row-wise Kronecker
+`tensor_of` builds the dense tensor from the stacks: the row-wise Kronecker
 product KR[r] = a_r (x) b_r (r x n^4) times W (r x n^2) is one GEMM, taken
 over chunks of n^2 terms so that no temporary exceeds the n^6 entries of the
-result.  Every dense n^6 tensor (`tensor_of`, `mm_tensor`) is refused with a
-ValueError, before anything is allocated, when its float64 size would
-exceed MAX_DENSE_BYTES.
+result.  Every dense n^6 tensor (`tensor_of`, `mm_tensor`, `rank1_tensor`)
+is refused with a ValueError, before anything is allocated, when its
+float64 size would exceed MAX_DENSE_BYTES.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,68 +81,56 @@ def exact_identity(n: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Rank1Term:
-    """One separable summand a (x) b (x) c; all three factors are n x n."""
+class Rank1Term(NamedTuple):
+    """One separable summand a (x) b (x) c: a view of one row of each of a
+    decomposition's factor stacks."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
 
-    def __post_init__(self):
-        n = self.a.shape[0]
-        for m in (self.a, self.b, self.c):
-            if m.shape != (n, n):
-                raise ValueError("all three factors must be square of the same size")
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
 
 @dataclass(frozen=True)
 class Decomposition:
-    """An ordered list of separable terms claimed to sum to MM_n."""
+    """A sum of separable terms claimed to equal MM_n, stored as its factor
+    stacks U, V, W of shape (rank, n, n): term r is U[r] (x) V[r] (x) W[r]."""
 
-    n: int
-    terms: tuple[Rank1Term, ...]
+    U: np.ndarray
+    V: np.ndarray
+    W: np.ndarray
     scheme: str = "imported"
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for t in self.terms:
-            if t.n != self.n:
-                raise ValueError("term dimension does not match decomposition")
-        if len({is_exact(m) for t in self.terms for m in (t.a, t.b, t.c)}) > 1:
+        U, V, W = self.U, self.V, self.W
+        if U.ndim != 3 or U.shape[1] != U.shape[2] or not U.shape == V.shape == W.shape:
+            raise ValueError("U, V, W must be stacks of one shape (rank, n, n)")
+        if len({is_exact(U), is_exact(V), is_exact(W)}) > 1:
             raise ValueError("decomposition mixes exact (Fraction) and float factors")
-        object.__setattr__(self, "terms", tuple(self.terms))
+
+    @property
+    def n(self) -> int:
+        return self.U.shape[1]
 
     @property
     def rank(self) -> int:
-        return len(self.terms)
+        return self.U.shape[0]
 
     @property
     def exact(self) -> bool:
-        return bool(self.terms) and is_exact(self.terms[0].a)
+        return is_exact(self.U)
 
-    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The factor stacks U, V, W, each of shape (rank, n, n): object
-        arrays of Fractions when exact, float64 otherwise."""
-        dtype = object if self.exact else np.float64
-        shape = (self.rank, self.n, self.n)
-        return tuple(
-            np.array([getattr(t, s) for t in self.terms], dtype=dtype).reshape(shape)
-            for s in "abc"
-        )
+    @property
+    def terms(self) -> tuple[Rank1Term, ...]:
+        """The terms (U[r], V[r], W[r]), as views into the stacks."""
+        return tuple(map(Rank1Term, self.U, self.V, self.W))
 
     def to_float(self) -> "Decomposition":
-        terms = tuple(
-            Rank1Term(
-                t.a.astype(np.float64), t.b.astype(np.float64), t.c.astype(np.float64)
-            )
-            for t in self.terms
-        )
-        return Decomposition(self.n, terms, self.scheme, dict(self.params))
+        """This decomposition with float64 stacks; itself if they already are."""
+        if self.U.dtype == self.V.dtype == self.W.dtype == np.float64:
+            return self
+        U, V, W = (X.astype(np.float64) for X in (self.U, self.V, self.W))
+        return Decomposition(U, V, W, self.scheme, dict(self.params))
 
 
 def _require_dense_size(n: int) -> None:
@@ -173,6 +167,7 @@ def triple_trace(A: np.ndarray, B: np.ndarray, C: np.ndarray):
 
 def rank1_tensor(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Dense tensor of a single separable term: T[a,b,c,d,e,f] = a[a,d] b[b,e] c[c,f]."""
+    _require_dense_size(a.shape[0])
     # outer products give axis order (a,d,b,e,c,f); permute to (a,b,c,d,e,f)
     t = np.multiply.outer(np.multiply.outer(a, b), c)
     return t.transpose(0, 2, 4, 1, 3, 5)
@@ -187,8 +182,9 @@ def tensor_of(dec: Decomposition, include_identity: bool = True) -> np.ndarray:
     n = dec.n
     _require_dense_size(n)
     n2 = n * n
-    U, V, W = (X.reshape(-1, n2) for X in dec.factors())
-    if not include_identity and dec.terms and _is_identity_term(dec.terms[0]):
+    U, V, W = (X.reshape(-1, n2) for X in (dec.U, dec.V, dec.W))
+    eye = np.eye(n).reshape(-1)
+    if not include_identity and dec.rank and all(np.array_equal(X[0], eye) for X in (U, V, W)):
         U, V, W = U[1:], V[1:], W[1:]
     # T = W^T KR, the transpose of KR^T W: rows (c, f), columns (a, d, b, e)
     if dec.exact:
@@ -200,12 +196,6 @@ def tensor_of(dec: Decomposition, include_identity: bool = True) -> np.ndarray:
         kr = (U[s : s + n2, :, None] * V[s : s + n2, None, :]).reshape(-1, n2 * n2)
         T += W[s : s + n2].T @ kr
     return T.reshape((n,) * 6).transpose(2, 4, 0, 3, 5, 1)
-
-
-def _is_identity_term(t: Rank1Term) -> bool:
-    n = t.n
-    eye = exact_identity(n) if is_exact(t.a) else np.eye(n)
-    return all(np.array_equal(m, eye) for m in (t.a, t.b, t.c))
 
 
 def frobenius_inner(T1: np.ndarray, T2: np.ndarray):

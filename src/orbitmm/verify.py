@@ -18,7 +18,6 @@ from .frames import Frame
 from .tensor import (
     Decomposition,
     frobenius_inner,
-    is_exact,
     mm_tensor,
     operator_trace,
     tensor_of,
@@ -50,8 +49,7 @@ class VerifyReport:
 
 def verify_float(dec: Decomposition, tol: float = DEFAULT_TOL) -> VerifyReport:
     """Entrywise check of tensor_of(dec) against mm_tensor(n)."""
-    d = dec.to_float() if dec.exact else dec
-    T = tensor_of(d)
+    T = tensor_of(dec.to_float())
     residual = float(np.abs(T - mm_tensor(dec.n)).max())
     return VerifyReport(
         n=dec.n,
@@ -162,10 +160,10 @@ class InvariantsReport:
 
 
 def invariants_report(dec: Decomposition) -> InvariantsReport:
-    d = dec.to_float() if dec.exact else dec
+    d = dec.to_float()
     T = tensor_of(d)
     mm = mm_tensor(dec.n)
-    ranks = (np.linalg.matrix_rank(X, tol=1e-9).tolist() for X in d.factors())
+    ranks = (np.linalg.matrix_rank(X, tol=1e-9).tolist() for X in (d.U, d.V, d.W))
     factor_ranks = tuple(zip(*ranks))
     return InvariantsReport(
         n=dec.n,

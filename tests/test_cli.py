@@ -162,6 +162,11 @@ def test_analyze_builtin_s4_s5(capsys, target):
     assert "necessary conditions" in out
 
 
+def test_analyze_theta_conflict_exits_2(capsys):
+    code, out, err = run(capsys, "analyze", "strassen", "--theta", "0.5", "--theta-sixths", "1")
+    assert code == 2 and "not both" in err and out == ""
+
+
 def test_analyze_file(tmp_path, capsys):
     path = gen_lattice(tmp_path, capsys)
     code, out, _ = run(capsys, "analyze", str(path))

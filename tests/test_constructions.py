@@ -12,14 +12,17 @@ from orbitmm.constructions import (
     orbit_spec_for,
     standard_uv,
     s4_family,
+    s4_family_spec,
     s5_fixture,
     standard_group,
     standard_sigma_perm,
     strassen_theta,
     strassen_theta_sixths,
+    strassen_theta_sixths_spec,
+    strassen_theta_spec,
     symmetric_group,
 )
-from orbitmm.frames import fixture_frame, simplex_frame
+from orbitmm.frames import fixture_frame, lift_permutation, simplex_frame
 from orbitmm.tensor import tensor_of
 from orbitmm.verify import verify_float
 
@@ -185,3 +188,84 @@ def test_term_enumeration_is_reproducible():
         assert np.array_equal(t1.a, t2.a)
         assert np.array_equal(t1.b, t2.b)
         assert np.array_equal(t1.c, t2.c)
+
+
+def _reference_lattice(frame):
+    """The per-term lattice construction the stacked builder replaced."""
+    n, w = frame.n, frame.vectors
+    c = n / (n + 1)
+    eye = np.eye(n)
+    terms = [(eye, eye, eye)]
+    for i in range(frame.size):
+        for j in range(frame.size):
+            for k in range(frame.size):
+                if i == j or j == k or k == i:
+                    continue
+                terms.append(
+                    (
+                        c * np.outer(w[i], w[j] - w[i]),
+                        c * np.outer(w[j], w[k] - w[j]),
+                        c * np.outer(w[k], w[i] - w[k]),
+                    )
+                )
+    return terms
+
+
+def _reference_orbit(spec):
+    """The per-term orbit construction the stacked builder replaced."""
+    frame = spec.frame
+    sigma = lift_permutation(frame, spec.sigma_perm)
+    m1 = np.outer(spec.u, spec.v)
+    m2 = sigma @ m1 @ sigma.T
+    m3 = sigma @ m2 @ sigma.T
+    eye = np.eye(frame.n)
+    terms = [(eye, eye, eye)]
+    for g in spec.group:
+        rho = lift_permutation(frame, g)
+        terms.append((rho @ m1 @ rho.T, rho @ m2 @ rho.T, rho @ m3 @ rho.T))
+    return terms
+
+
+def _assert_bitwise_equal(dec, terms):
+    assert dec.rank == len(terms)
+    for X, side in zip((dec.U, dec.V, dec.W), zip(*terms)):
+        ref = np.array(side)
+        # bytes, not values: -0.0 and 0.0 would serialize differently
+        assert X.dtype == ref.dtype and X.shape == ref.shape and X.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_lattice_matches_per_term_reference(n):
+    frame = simplex_frame(n)
+    _assert_bitwise_equal(lattice_decomposition(frame), _reference_lattice(frame))
+
+
+@pytest.mark.parametrize(
+    "dec, spec",
+    [
+        *((orbit_decomposition(orbit_spec_for(n)), orbit_spec_for(n)) for n in (2, 3, 4)),
+        (strassen_theta(math.pi / 12), strassen_theta_spec(math.pi / 12)),
+        (strassen_theta_sixths(1), strassen_theta_sixths_spec(1)),
+        (s4_family("u", -1, 0.0), s4_family_spec("u", -1, 0.0)),
+        (s4_family("v", -1, math.pi / 2), s4_family_spec("v", -1, math.pi / 2)),
+    ],
+    ids=["orbit2", "orbit3", "orbit4", "strassen-pi12", "strassen-sixths1", "s4-first", "s4-second"],
+)
+def test_orbit_matches_per_term_reference(dec, spec):
+    _assert_bitwise_equal(dec, _reference_orbit(spec))
+
+
+@pytest.mark.parametrize(
+    "dec, nnz, tiny",
+    [
+        (orbit_decomposition(orbit_spec_for(2)), (22, 26, 26), (4, 8, 8)),
+        (lattice_decomposition(simplex_frame(3)), (127, 127, 127), (12, 12, 12)),
+    ],
+    ids=["orbit2", "lattice3"],
+)
+def test_executor_nonzeros(dec, nnz, tiny):
+    # nonzero coefficients per side, and those below 1e-12 (round-off that
+    # still costs the executor a block operation); the benchmark predicts both
+    stacks = (dec.U, dec.V, dec.W)
+    assert tuple(int((X != 0.0).sum()) for X in stacks) == nnz
+    assert tuple(int(((X != 0.0) & (np.abs(X) < 1e-12)).sum()) for X in stacks) == tiny

@@ -7,6 +7,7 @@ import pytest
 
 from orbitmm.constructions import lattice_decomposition, strassen_theta
 from orbitmm.frames import simplex_frame
+from orbitmm.tensor import Decomposition
 from orbitmm.serialize import (
     SchemaError,
     load_decomposition,
@@ -37,6 +38,21 @@ def test_roundtrip_float_lossless(tmp_path):
         assert np.array_equal(t1.a, t2.a)  # bit-identical via .17g
         assert np.array_equal(t1.b, t2.b)
         assert np.array_equal(t1.c, t2.c)
+
+
+def test_roundtrip_rational(tmp_path):
+    q = Fraction
+    U = np.array([[[q(1), q(-1, 3)], [q(0), q(5, 7)]], [[q(2), q(0)], [q(-9, 4), q(1)]]], dtype=object)
+    dec = Decomposition(U, U[::-1].copy(), -U, scheme="exact-test", params={"k": 1})
+    path = tmp_path / "q.json"
+    save_decomposition(dec, path)
+    doc = json.loads(path.read_text())
+    assert doc["scalar_kind"] == "rational" and doc["terms"][0]["a"] == ["1/1", "-1/3", "0/1", "5/7"]
+    back = load_decomposition(path)
+    assert back.exact and (back.scheme, back.params) == ("exact-test", {"k": 1})
+    for X, Y in zip((dec.U, dec.V, dec.W), (back.U, back.V, back.W)):
+        assert X.shape == Y.shape and np.array_equal(X, Y)
+        assert all(isinstance(x, Fraction) for x in Y.flat)
 
 
 def test_roundtrip_preserves_term_order(tmp_path):
@@ -104,6 +120,19 @@ def test_wrong_matrix_length_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
+        load_decomposition(bad)
+
+
+def test_wrong_rational_matrix_length_rejected(tmp_path):
+    # one factor short and one long: the entry total still matches
+    q = ["1/1", "0/1", "0/1", "1/1"]
+    doc = {
+        "format_version": 1, "n": 2, "scalar_kind": "rational",
+        "terms": [{"a": q[:-1], "b": q, "c": q}, {"a": q + ["1/1"], "b": q, "c": q}],
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="3 entries, expected 4"):
         load_decomposition(bad)
 
 

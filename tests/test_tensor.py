@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -91,16 +92,20 @@ def test_pairing_matches_triple_trace_exact(rng):
         assert lhs == triple_trace(A, B, C)
 
 
+def _exact_stack(rng, n, rank):
+    return np.array([random_exact_matrix(rng, n) for _ in range(rank)], dtype=object).reshape(rank, n, n)
+
+
 def test_tensor_of_empty():
-    dec = Decomposition(2, ())
+    dec = Decomposition(*np.zeros((3, 0, 2, 2)))
     T = tensor_of(dec)
     assert T.shape == (2,) * 6 and T.dtype == np.float64
     assert np.all(T == 0.0)
 
 
 def test_tensor_of_identity_term():
-    eye = np.eye(2)
-    dec = Decomposition(2, (Rank1Term(eye, eye, eye),))
+    eye = np.eye(2)[None]
+    dec = Decomposition(eye, eye, eye)
     T = tensor_of(dec)
     for idx in product(range(2), repeat=6):
         a, b, c, d, e, f = idx
@@ -111,17 +116,16 @@ def test_tensor_of_identity_term():
 def test_tensor_of_skip_identity():
     eye = np.eye(2)
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    dec = Decomposition(2, (Rank1Term(eye, eye, eye), Rank1Term(m, m, m)))
+    X = np.stack([eye, m])
+    dec = Decomposition(X, X, X)
     partial = tensor_of(dec, include_identity=False)
     assert np.allclose(partial, rank1_tensor(m, m, m))
 
 
 def test_tensor_of_linearity(rng):
-    terms = tuple(
-        Rank1Term(*(random_exact_matrix(rng, 2) for _ in range(3))) for _ in range(4)
-    )
-    whole = tensor_of(Decomposition(2, terms))
-    parts = tensor_of(Decomposition(2, terms[:2])) + tensor_of(Decomposition(2, terms[2:]))
+    U, V, W = (_exact_stack(rng, 2, 4) for _ in range(3))
+    whole = tensor_of(Decomposition(U, V, W))
+    parts = tensor_of(Decomposition(U[:2], V[:2], W[:2])) + tensor_of(Decomposition(U[2:], V[2:], W[2:]))
     assert np.array_equal(whole, parts)
 
 
@@ -142,10 +146,7 @@ def _reference_tensor_of(dec, include_identity=True):
 
 
 def _random_exact_dec(rng, n, rank):
-    terms = tuple(
-        Rank1Term(*(random_exact_matrix(rng, n) for _ in range(3))) for _ in range(rank)
-    )
-    return Decomposition(n, terms)
+    return Decomposition(*(_exact_stack(rng, n, rank) for _ in range(3)))
 
 
 @pytest.mark.parametrize(
@@ -175,12 +176,12 @@ def test_tensor_of_matches_reference_exact(rng, n, rank):
 
 
 def test_tensor_of_exact_skip_identity(rng):
-    eye = exact_identity(2)
-    rest = _random_exact_dec(rng, 2, 5).terms
-    dec = Decomposition(2, (Rank1Term(eye, eye, eye),) + rest)
+    eye = exact_identity(2)[None]
+    rest = _random_exact_dec(rng, 2, 5)
+    dec = Decomposition(*(np.concatenate([eye, X]) for X in (rest.U, rest.V, rest.W)))
     got = tensor_of(dec, include_identity=False)
     assert np.array_equal(got, _reference_tensor_of(dec, include_identity=False))
-    only = tensor_of(Decomposition(2, (Rank1Term(eye, eye, eye),)), include_identity=False)
+    only = tensor_of(Decomposition(eye, eye, eye), include_identity=False)
     assert only.dtype == object and all(x == 0 and isinstance(x, Fraction) for x in only.flat)
 
 
@@ -190,17 +191,26 @@ def test_tensor_of_lattice12():
     assert np.abs(tensor_of(dec) - mm_tensor(12)).max() < 1e-9
     # the per-term reference costs ~20 ms a term here: take one chunk of
     # 144 terms and two more, so the sum crosses a chunk boundary
-    head = Decomposition(12, dec.terms[:146])
+    head = Decomposition(dec.U[:146], dec.V[:146], dec.W[:146])
     assert np.abs(tensor_of(head) - _reference_tensor_of(head)).max() <= 1e-12
 
 
 def test_dense_size_guard():
     n = 23  # 8 * 23^6 bytes is just above the limit; n = 22 is just below
     assert 8 * 22**6 <= MAX_DENSE_BYTES < 8 * n**6
-    with pytest.raises(ValueError, match=f"n={n} needs {8 * n**6} bytes"):
-        tensor_of(Decomposition(n, ()))
-    with pytest.raises(ValueError, match=f"n={n}"):
-        mm_tensor(n)
+    eye = np.eye(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"n={n} needs {8 * n**6} bytes"):
+            tensor_of(Decomposition(*np.zeros((3, 0, n, n))))
+        with pytest.raises(ValueError, match=f"n={n}"):
+            mm_tensor(n)
+        with pytest.raises(ValueError, match=f"n={n} needs {8 * n**6} bytes"):
+            rank1_tensor(eye, eye, eye)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before any n^6 allocation
 
 
 def test_frobenius_inner_examples():
@@ -215,28 +225,59 @@ def test_frobenius_inner_mismatch():
 
 
 def test_operator_trace_identity_cube():
-    eye3 = exact_identity(3)
-    T = tensor_of(Decomposition(3, (Rank1Term(eye3, eye3, eye3),)))
+    eye3 = exact_identity(3)[None]
+    T = tensor_of(Decomposition(eye3, eye3, eye3))
     assert operator_trace(T) == 27
 
 
 def test_decomposition_rejects_mismatched_term():
-    eye = np.eye(3)
-    with pytest.raises(ValueError):
-        Decomposition(2, (Rank1Term(eye, eye, eye),))
+    # factors that are not square, or stacks that are not (rank, n, n)
+    with pytest.raises(ValueError, match="rank, n, n"):
+        Decomposition(*np.zeros((3, 1, 2, 3)))
+    eye = np.eye(2)
+    with pytest.raises(ValueError, match="rank, n, n"):
+        Decomposition(eye, eye, eye)
 
 
 def test_decomposition_rejects_mixed_scalar_kinds():
-    exact, flt = exact_identity(2), np.eye(2)
+    exact, flt = exact_identity(2)[None], np.eye(2)[None]
     with pytest.raises(ValueError, match="mixes"):
-        Decomposition(2, (Rank1Term(exact, exact, exact), Rank1Term(flt, flt, flt)))
+        Decomposition(exact, flt, exact)
     with pytest.raises(ValueError, match="mixes"):
-        Decomposition(2, (Rank1Term(exact, flt, exact),))
+        Decomposition(flt, flt, exact)
 
 
-def test_rank1term_requires_matching_shapes():
-    with pytest.raises(ValueError):
-        Rank1Term(np.eye(2), np.eye(3), np.eye(2))
+def test_decomposition_rejects_unequal_stacks():
+    with pytest.raises(ValueError, match="rank, n, n"):
+        Decomposition(np.eye(2)[None], np.eye(3)[None], np.eye(2)[None])
+    with pytest.raises(ValueError, match="rank, n, n"):
+        Decomposition(np.zeros((2, 2, 2)), np.zeros((1, 2, 2)), np.zeros((2, 2, 2)))
+
+
+def test_decomposition_reads_shape_and_kind_from_stacks(rng):
+    dec = lattice_decomposition(simplex_frame(3))
+    assert (dec.n, dec.rank, dec.exact) == (3, 25, False)
+    exact = _random_exact_dec(rng, 2, 3)
+    assert (exact.n, exact.rank, exact.exact) == (2, 3, True)
+
+
+def test_terms_are_views_of_the_stacks():
+    dec = orbit_decomposition(orbit_spec_for(2))
+    terms = dec.terms
+    assert len(terms) == dec.rank and all(isinstance(t, Rank1Term) for t in terms)
+    for r, t in enumerate(terms):
+        for m, X in zip(t, (dec.U, dec.V, dec.W)):
+            assert np.shares_memory(m, X) and np.array_equal(m, X[r])
+
+
+def test_to_float(rng):
+    dec = lattice_decomposition(simplex_frame(2))
+    assert dec.to_float() is dec
+    exact = _random_exact_dec(rng, 2, 3)
+    flt = exact.to_float()
+    assert not flt.exact and (flt.scheme, flt.params) == (exact.scheme, exact.params)
+    for X, Y in zip((flt.U, flt.V, flt.W), (exact.U, exact.V, exact.W)):
+        assert X.dtype == np.float64 and np.array_equal(X, Y.astype(np.float64))
 
 
 def test_exact_matrix_values():

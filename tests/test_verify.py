@@ -32,7 +32,7 @@ def test_verify_float_lattice(n):
 
 def test_verify_float_reports_failure():
     dec = lattice_decomposition(simplex_frame(2))
-    broken = Decomposition(2, dec.terms[:-1], scheme="broken")
+    broken = Decomposition(dec.U[:-1], dec.V[:-1], dec.W[:-1], scheme="broken")
     rep = verify_float(broken)
     assert not rep.valid
     assert abs(rep.max_residual - DELETED_TERM_RESIDUAL) < 1e-12
