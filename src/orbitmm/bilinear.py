@@ -16,14 +16,20 @@ size).
 
 multiply_recursive first copies A and B once into a recursive block layout
 (index digits ordered i0, j0, i1, j1, ..., row, col), in which the n*n
-sub-blocks of every node form one contiguous (n*n, h*h) stack.  A term's
-block combination <a_r, A> is then one matrix-vector product of a_r with
-that stack, written into a buffer preallocated for the level; likewise for
-B.  The children's products accumulate in place into the parent's output
-blocks, and the leaves are written by np.matmul into their level's buffer.
-Each level holds three h x h buffers, never all rank products of a node.
-The result is copied back to row-major order once.  The factor rows come
-straight from the decomposition's stacks U, V and W (transposed for c^T).
+sub-blocks of every node form one contiguous (n*n, h*h) stack.  Each node
+overwrites its B operand with the product, writing every C block once:
+one GEMM of the B-side factors with B's stack forms all rank B-side
+combinations (after which B's blocks are free), one matrix-vector product
+per term forms its A-side combination in B's first block, the child
+multiplies it into its row of the rank stack in place, and one GEMM of the
+C-side factors with the finished stack writes the node's n*n blocks.  A
+leaf multiplies into scratch by np.matmul and copies the product back.
+Each child's stack lives in its parent's free blocks, so the one workspace
+is the top node's stack (rank*(p/n)^2 entries) whenever rank <= n^2(n^2-1),
+as for every scheme of rank <= n^3; above that the stacks of all levels
+follow one another in it.  The result is copied back to row-major order
+once.  The factor rows come straight from the decomposition's stacks U, V
+and W (transposed for c^T).
 """
 
 from __future__ import annotations
@@ -107,16 +113,17 @@ def _interleave(depth: int) -> list[int]:
 
 
 def _to_blocks(M: np.ndarray, n: int, padded: int, depth: int, leaf: int) -> np.ndarray:
-    """M zero-padded to padded x padded, as a flat float64 array in the
-    recursive block layout: each node's n*n sub-blocks are one contiguous
-    (n*n, h*h) stack, itself in that layout, down to row-major leaves."""
+    """A fresh copy of M, zero-padded to padded x padded, as a flat float64
+    array in the recursive block layout: each node's n*n sub-blocks are one
+    contiguous (n*n, h*h) stack, itself in that layout, down to row-major
+    leaves.  Always a copy: the executor overwrites it."""
     if M.shape[0] != padded:
         P = np.zeros((padded, padded))
         P[: M.shape[0], : M.shape[1]] = M
         M = P
     digits = (n,) * depth + (leaf,)
     X = M.reshape(digits + digits).transpose(_interleave(depth))
-    return np.ascontiguousarray(X, dtype=np.float64).reshape(-1)
+    return np.array(X, dtype=np.float64, order="C").reshape(-1)
 
 
 def _from_blocks(C: np.ndarray, n: int, size: int, padded: int, depth: int, leaf: int) -> np.ndarray:
@@ -129,47 +136,33 @@ def _from_blocks(C: np.ndarray, n: int, size: int, padded: int, depth: int, leaf
 
 
 def _compile(dec: Decomposition):
-    """Factor rows for the A and B sides, and for each term the C-side
-    writes (stack index, coefficient, first write to that block?) plus the
-    blocks no term writes.  c^T places block (i, j) of c at (j, i)."""
+    """The factor rows of the A and B sides, (rank, n*n), and the C side as
+    (n*n, rank); c^T places block (i, j) of c at (j, i)."""
     d = dec.to_float()
     nn = d.n * d.n
-    U, V = d.U.reshape(-1, nn), d.V.reshape(-1, nn)
-    W = d.W.transpose(0, 2, 1).reshape(-1, nn)
-    nz = W != 0.0
-    first = nz & (nz.cumsum(axis=0) == 1)
-    writes = [[(k, W[r, k], first[r, k]) for k in np.flatnonzero(nz[r])] for r in range(len(W))]
-    return U, V, writes, np.flatnonzero(~nz.any(axis=0))
+    return d.U.reshape(-1, nn), d.V.reshape(-1, nn), d.W.transpose(0, 2, 1).reshape(-1, nn).T
 
 
-def _node(X, Y, out, level, depth, leaf, code, bufs) -> int:
-    """out = X Y, all three flat in block layout; returns the number of
-    leaf products made."""
+def _node(X, Y, S, level, depth, leaf, code, spill) -> int:
+    """Y := X Y, both flat in block layout; X is only read and the flat S
+    is scratch.  Returns the number of leaf products made."""
     if level == depth:
-        np.matmul(X.reshape(leaf, leaf), Y.reshape(leaf, leaf), out=out.reshape(leaf, leaf))
+        T = S[: leaf * leaf]
+        np.matmul(X.reshape(leaf, leaf), Y.reshape(leaf, leaf), out=T.reshape(leaf, leaf))
+        Y[:] = T
         return 1
-    U, V, writes, unwritten = code
-    P, Q, M = bufs[level]
-    nn = U.shape[1]
-    Xs, Ys, Cs = X.reshape(nn, -1), Y.reshape(nn, -1), out.reshape(nn, -1)
-    Cs[unwritten] = 0.0
+    U, V, Wt = code
+    rank, nn = V.shape
+    Xs, Ys = X.reshape(nn, -1), Y.reshape(nn, -1)
+    hh = Ys.shape[1]
+    St = S[: rank * hh].reshape(rank, hh)
+    np.dot(V, Ys, out=St)  # every term's B side; Y's blocks are free from here
+    child = S[rank * hh :] if spill else Ys[1:].reshape(-1)
     leaves = 0
-    for u, v, term in zip(U, V, writes):
-        np.dot(u, Xs, out=P)
-        np.dot(v, Ys, out=Q)
-        leaves += _node(P, Q, M, level + 1, depth, leaf, code, bufs)
-        for k, coef, first in term:
-            blk = Cs[k]
-            if first:
-                np.multiply(M, coef, out=blk)
-            elif coef == 1.0:
-                np.add(blk, M, out=blk)
-            elif coef == -1.0:
-                np.subtract(blk, M, out=blk)
-            else:
-                # P is free once its child has run: reuse it as scratch
-                np.multiply(M, coef, out=P)
-                np.add(blk, P, out=blk)
+    for t in range(rank):
+        np.dot(U[t], Xs, out=Ys[0])
+        leaves += _node(Ys[0], St[t], child, level + 1, depth, leaf, code, spill)
+    np.dot(Wt, St, out=Ys)  # each C block written once
     return leaves
 
 
@@ -179,17 +172,20 @@ def multiply_recursive(
     """Recursive block multiplication driven by the decomposition."""
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("multiply_recursive needs square matrices of equal size")
-    n, size = dec.n, A.shape[0]
+    n, size, rank = dec.n, A.shape[0], dec.rank
     padded, depth, leaf = _plan(n, size, cutoff)
     t0 = time.perf_counter()
     X = _to_blocks(A, n, padded, depth, leaf)
     Y = _to_blocks(B, n, padded, depth, leaf)
-    C = np.empty(padded * padded)
-    # level l holds its child's h x h operands P, Q and product M
-    bufs = [tuple(np.empty((padded // n ** (level + 1)) ** 2) for _ in range(3)) for level in range(depth)]
-    leaves = _node(X, Y, C, 0, depth, leaf, _compile(dec), bufs)
-    del X, Y, bufs  # free the stacks and buffers before the copy back
-    result = _from_blocks(C, n, size, padded, depth, leaf)
+    # a child's stack fits in its parent's n*n - 1 free blocks unless
+    # rank > n^2(n^2-1); then every level's stack and the leaf's scratch
+    # follow one another in the workspace
+    spill = rank > n * n * (n * n - 1)
+    stacks = [rank * (padded // n ** (level + 1)) ** 2 for level in range(depth)]
+    S = np.empty(sum(stacks) + leaf * leaf if spill or not depth else stacks[0])
+    leaves = _node(X, Y, S, 0, depth, leaf, _compile(dec), spill)
+    del X, S  # free the operand copy and the workspace before the copy back
+    result = _from_blocks(Y, n, size, padded, depth, leaf)
     wall = time.perf_counter() - t0
     return MulReport(
         result=result,

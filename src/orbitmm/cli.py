@@ -36,7 +36,7 @@ from .serialize import (
     save_decomposition,
     save_matrix,
 )
-from .tensor import mm_tensor, tensor_of
+from .tensor import tensor_of
 from .verify import invariants_report, verify_exact_gram, verify_float
 
 SCHEMES = ("lattice", "orbit", "strassen-theta", "s4-family")
@@ -133,10 +133,12 @@ def _inv_record(inv) -> dict:
     }
 
 
-def _print_fourier_table(coeffs):
-    print("Fourier coefficients (nonzero):")
+def _print_fourier_table(dec):
+    """The Fourier table of a float n=2 decomposition, without its round-off."""
+    coeffs = fourier2.fourier_coefficients(tensor_of(dec.to_float()))
+    print("Fourier coefficients (|c| >= 1e-9):")
     for key in sorted(coeffs):
-        if coeffs[key] != 0:
+        if abs(coeffs[key]) >= 1e-9:
             a, b, c = key
             print(f"  c({a:>5}, {b:>5}, {c:>5}) = {coeffs[key]}")
 
@@ -146,7 +148,7 @@ def _analyze(args) -> int:
     if target not in BUILTINS:  # a decomposition file
         dec = load_decomposition(target)
         if dec.n == 2:
-            _print_fourier_table(fourier2.fourier_coefficients(tensor_of(dec.to_float())))
+            _print_fourier_table(dec)
         for line in invariants_report(dec).lines():
             print(line)
         return 0
@@ -159,7 +161,7 @@ def _analyze(args) -> int:
                 spec = strassen_theta_sixths_spec(args.theta_sixths)
             else:
                 spec = strassen_theta_spec(_theta_from_args(args))
-            _print_fourier_table(fourier2.fourier_coefficients(mm_tensor(2, exact=True)))
+            _print_fourier_table(orbit_decomposition(spec))
             res = fourier2.strassen_equations(np.outer(spec.u, spec.v))
             print("constraint residuals:", ", ".join(f"{r:.3e}" for r in res))
         else:

@@ -107,9 +107,8 @@ def load_decomposition(path) -> Decomposition:
 
 def save_matrix(m: np.ndarray, path) -> None:
     rows, cols = m.shape
-    lines = [f"{rows} {cols}"]
-    for r in range(rows):
-        lines.append(" ".join(format(float(x), ".17g") for x in m[r]))
+    row = " ".join(["%.17g"] * cols)
+    lines = [f"{rows} {cols}"] + [row % tuple(r.tolist()) for r in np.asarray(m, dtype=np.float64)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

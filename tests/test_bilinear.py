@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from orbitmm.constructions import (
     strassen_theta,
 )
 from orbitmm.frames import simplex_frame
+from orbitmm.tensor import Decomposition
 
 
 def lattice(n):
@@ -215,6 +217,57 @@ def test_recursive_result_owns_its_data(size, nprng):
     multiply_recursive(dec, A2, B2, cutoff=2)
     assert np.array_equal(first, kept)
     assert first.flags.owndata and first.base is None
+
+
+# (size, cutoff): depth 0, depth 1 at size == n, depth 3, padded sizes
+@pytest.mark.parametrize("name,size,cutoff", [
+    ("orbit2", 4, 4), ("orbit2", 2, 1), ("orbit2", 8, 1), ("orbit2", 5, 1), ("orbit2", 6, 2),
+    ("lattice3", 3, 1), ("lattice3", 10, 3),
+])
+def test_recursive_leaves_inputs_unchanged(name, size, cutoff, nprng):
+    dec = EXECUTOR_DECS[name]()
+    A, B = nprng.standard_normal((2, size, size))
+    A0, B0 = A.copy(), B.copy()
+    rep = multiply_recursive(dec, A, B, cutoff=cutoff)
+    assert np.array_equal(A, A0) and np.array_equal(B, B0)
+    assert np.abs(rep.result - A0 @ B0).max() <= 1e-12 * float(np.abs(A0 @ B0).max())
+
+
+@pytest.mark.parametrize("name,size,cutoff", [("orbit2", 512, 64), ("lattice3", 243, 27)])
+def test_recursive_peak_memory(name, size, cutoff, nprng):
+    # the block-layout copies of A and B plus the top node's stack of rank
+    # (p/n)^2 entries; every child's stack lives in its parent's free blocks
+    dec = EXECUTOR_DECS[name]()
+    A, B = nprng.standard_normal((2, size, size))
+    multiply_recursive(dec, A, B, cutoff=cutoff)  # warm up numpy's caches
+    tracemalloc.start()
+    try:
+        rep = multiply_recursive(dec, A, B, cutoff=cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.recursion_depth >= 2
+    assert peak <= 8 * (2 * size**2 + dec.rank * (size // dec.n) ** 2) + 64 * 1024
+
+
+def test_recursive_rank_above_free_blocks(nprng):
+    # rank 13 > n^2(n^2 - 1) = 12: the children's stacks no longer fit in
+    # their parents' free blocks and follow one another in the workspace
+    orbit = EXECUTOR_DECS["orbit2"]()
+    a, b, c = nprng.standard_normal((3, 3, 2, 2))
+    dec = Decomposition(
+        np.concatenate([orbit.U, a, a]), np.concatenate([orbit.V, b, b]), np.concatenate([orbit.W, c, -c])
+    )
+    assert dec.rank == 13
+    for size, cutoff in [(8, 1), (40, 8)]:
+        A, B = nprng.standard_normal((2, size, size))
+        rep = multiply_recursive(dec, A, B, cutoff=cutoff)
+        ref, mults, depth = _reference_recursive(dec, A, B, cutoff=cutoff)
+        assert rep.recursion_depth == depth == 3
+        assert rep.scalar_multiplications == mults == predicted_mult_count(2, 13, size, cutoff)
+        scale = float(np.abs(A @ B).max())
+        assert np.abs(rep.result - A @ B).max() <= 1e-12 * scale
+        assert np.abs(rep.result - ref).max() <= 1e-12 * scale
 
 
 def test_recursive_rejects_unsplittable_scheme():

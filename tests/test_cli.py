@@ -155,6 +155,34 @@ def test_analyze_builtin_strassen(capsys):
     assert "necessary conditions" in out
 
 
+def _fourier_rows(out):
+    """The printed Fourier table as {(x, y, z): coefficient}."""
+    rows = {}
+    for line in out.splitlines():
+        if line.startswith("  c("):
+            key, value = line.strip()[2:].split(") = ")
+            rows[tuple(k.strip() for k in key.split(","))] = float(value)
+    return rows
+
+
+def test_analyze_strassen_table_follows_theta(capsys):
+    _, valid, _ = run(capsys, "analyze", "strassen")
+    _, invalid, _ = run(capsys, "analyze", "strassen", "--theta", "0.3")
+    at_zero, at_03 = _fourier_rows(valid), _fourier_rows(invalid)
+    assert len(at_zero) == 16 and all(abs(abs(c) - 0.25) < 1e-12 for c in at_zero.values())
+    assert at_zero.keys() < at_03.keys()
+    assert at_zero != at_03
+
+
+def test_analyze_orbit_file_drops_round_off(tmp_path, capsys):
+    path = tmp_path / "orbit2.json"
+    assert run(capsys, "gen", "--n", "2", "--scheme", "orbit", "-o", str(path))[0] == 0
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    rows = _fourier_rows(out)
+    assert len(rows) == 16 and all(abs(abs(c) - 0.25) < 1e-12 for c in rows.values())
+
+
 @pytest.mark.parametrize("target", ["s4-first", "s4-second", "s5"])
 def test_analyze_builtin_s4_s5(capsys, target):
     code, out, _ = run(capsys, "analyze", target)

@@ -143,6 +143,29 @@ def test_matrix_roundtrip(tmp_path):
     assert np.array_equal(load_matrix(path), m)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_matrix_file_bytes_match_per_entry_format(tmp_path, nprng, dtype):
+    # the file is pinned to one format(float(x), ".17g") per entry
+    if dtype is np.float64:
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-17, 0.1, 1 / 3, 2.0**53 + 2]
+        values = np.concatenate([special, nprng.standard_normal(190) * 10.0 ** nprng.integers(-300, 300, 190)])
+    else:
+        values = nprng.integers(-(2**62), 2**62, 200)
+    m = values.astype(dtype).reshape(8, 25)
+    path = tmp_path / "m.txt"
+    save_matrix(m, path)
+    lines = ["8 25"] + [" ".join(format(float(x), ".17g") for x in row) for row in m]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    if dtype is np.float64:
+        assert np.array_equal(load_matrix(path), m) and np.signbit(load_matrix(path).flat[1])
+
+
+def test_matrix_empty_rows(tmp_path):
+    path = tmp_path / "m.txt"
+    save_matrix(np.zeros((2, 0)), path)
+    assert path.read_text() == "2 0\n\n\n"
+
+
 def test_matrix_rejects_garbage(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("2 2\n1 2\n3\n")
