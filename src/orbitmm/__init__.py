@@ -50,6 +50,7 @@ from .serialize import load_decomposition, load_matrix, save_decomposition, save
 from .tensor import (
     Decomposition,
     Rank1Term,
+    RefusedInput,
     frobenius_inner,
     mm_tensor,
     operator_trace,

@@ -19,15 +19,22 @@ multiply_recursive first copies A and B once into a recursive block layout
 sub-blocks of every node form one contiguous (n*n, h*h) stack.  Each node
 overwrites its B operand with the product, writing every C block once:
 one GEMM of the B-side factors with B's stack forms all rank B-side
-combinations (after which B's blocks are free), one matrix-vector product
-per term forms its A-side combination in B's first block, the child
-multiplies it into its row of the rank stack in place, and one GEMM of the
-C-side factors with the finished stack writes the node's n*n blocks.  A
-leaf multiplies into scratch by np.matmul and copies the product back.
-Each child's stack lives in its parent's free blocks, so the one workspace
-is the top node's stack (rank*(p/n)^2 entries) whenever rank <= n^2(n^2-1),
-as for every scheme of rank <= n^3; above that the stacks of all levels
-follow one another in it.  The result is copied back to row-major order
+combinations, after which B's blocks are free.  The children's stacks take
+the last ceil(rank/n^2) of them, and the first g = n^2 - ceil(rank/n^2)
+hold A-side combinations: one GEMM of g A-side factor rows with A's stack
+forms a group of g terms' A sides (g = 2, 6, 12 for the n = 2, 3, 4
+schemes of rank n^3 - n + 1, so A's stack is read ceil(rank/g) times, not
+rank times), and each child multiplies its block into its row of the rank
+stack in place.  One GEMM of the C-side factors with the finished stack
+then writes the node's n*n blocks.  These GEMMs have an inner dimension of
+n*n or rank and rows of up to p^2/n^2 entries, so they are bound by memory
+bandwidth; above PANEL columns each runs in column panels of PANEL, on
+which BLAS runs them up to about twice as fast.  A leaf multiplies into scratch by np.matmul and
+copies the product back.  Each child's stack lives in its parent's free
+blocks, so the one workspace is the top node's stack (rank*(p/n)^2
+entries) whenever rank <= n^2(n^2-1), as for every scheme of rank <= n^3;
+above that the stacks of all levels follow one another in it, and each
+group is one term.  The result is copied back to row-major order
 once.  The factor rows come straight from the decomposition's stacks U, V
 and W (transposed for c^T).
 """
@@ -39,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Decomposition
+from .tensor import Decomposition, RefusedInput
 
 __all__ = [
     "MulReport",
@@ -51,6 +58,8 @@ __all__ = [
     "benchmark",
     "format_bench_table",
 ]
+
+PANEL = 8192  # columns per panel of a block-combination GEMM
 
 
 def naive_multiply(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -93,9 +102,9 @@ def _plan(n: int, size: int, cutoff: int) -> tuple[int, int, int]:
     rank^depth leaf products of leaf^3 scalar multiplications each.
     """
     if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
+        raise RefusedInput("cutoff must be >= 1")
     if n < 2 and size > 1:
-        raise ValueError("a 1x1 scheme cannot split a larger matrix")
+        raise RefusedInput("a 1x1 scheme cannot split a larger matrix")
     padded = 1
     while padded < size:
         padded *= n
@@ -143,6 +152,25 @@ def _compile(dec: Decomposition):
     return d.U.reshape(-1, nn), d.V.reshape(-1, nn), d.W.transpose(0, 2, 1).reshape(-1, nn).T
 
 
+def _panels(M, src, dst) -> None:
+    """dst := M @ src.  Above PANEL columns the product runs panel by panel:
+    these small-K GEMMs over long rows are bandwidth-bound, and BLAS runs
+    them up to about twice as fast on cache-sized column panels."""
+    cols = src.shape[1]
+    if cols <= PANEL:
+        np.dot(M, src, out=dst)
+        return
+    for c in range(0, cols, PANEL):
+        np.matmul(M, src[:, c : c + PANEL], out=dst[:, c : c + PANEL])
+
+
+def _group_size(rank: int, nn: int) -> int:
+    """How many A-side combinations one GEMM forms in Y's free blocks: all
+    nn blocks but the ceil(rank/nn) that hold the children's stacks, or 1
+    when those stacks spill (rank > nn(nn - 1))."""
+    return max(nn + (-rank // nn), 1)
+
+
 def _node(X, Y, S, level, depth, leaf, code, spill) -> int:
     """Y := X Y, both flat in block layout; X is only read and the flat S
     is scratch.  Returns the number of leaf products made."""
@@ -156,13 +184,16 @@ def _node(X, Y, S, level, depth, leaf, code, spill) -> int:
     Xs, Ys = X.reshape(nn, -1), Y.reshape(nn, -1)
     hh = Ys.shape[1]
     St = S[: rank * hh].reshape(rank, hh)
-    np.dot(V, Ys, out=St)  # every term's B side; Y's blocks are free from here
-    child = S[rank * hh :] if spill else Ys[1:].reshape(-1)
+    _panels(V, Ys, St)  # every term's B side; Y's blocks are free from here
+    g = _group_size(rank, nn)
+    child = S[rank * hh :] if spill else Ys[g:].reshape(-1)
     leaves = 0
-    for t in range(rank):
-        np.dot(U[t], Xs, out=Ys[0])
-        leaves += _node(Ys[0], St[t], child, level + 1, depth, leaf, code, spill)
-    np.dot(Wt, St, out=Ys)  # each C block written once
+    for t0 in range(0, rank, g):
+        k = min(g, rank - t0)
+        _panels(U[t0 : t0 + k], Xs, Ys[:k])  # A sides of k terms, one pass over X
+        for j in range(k):
+            leaves += _node(Ys[j], St[t0 + j], child, level + 1, depth, leaf, code, spill)
+    _panels(Wt, St, Ys)  # each C block written once
     return leaves
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: gen, verify, analyze, multiply, bench.  Exit codes are stable:
 0 = success / mathematically valid, 1 = mathematically invalid, 2 = usage,
-I/O, or schema error.
+I/O, or schema error, or an input the package refuses (RefusedInput).  Any
+other exception is a fault of the program and propagates.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .serialize import (
     save_decomposition,
     save_matrix,
 )
-from .tensor import tensor_of
+from .tensor import RefusedInput, tensor_of
 from .verify import invariants_report, verify_exact_gram, verify_float
 
 SCHEMES = ("lattice", "orbit", "strassen-theta", "s4-family")
@@ -54,6 +55,8 @@ def _theta_from_args(args) -> float:
         raise UsageError("pass --theta or --theta-sixths, not both")
     if args.theta_sixths is not None:
         return args.theta_sixths * math.pi / 6
+    if args.theta is not None and not math.isfinite(args.theta):
+        raise UsageError(f"--theta must be finite, got {args.theta}")
     return args.theta if args.theta is not None else 0.0
 
 
@@ -191,14 +194,20 @@ def _multiply(args) -> int:
         save_matrix(C, args.output)
         print(f"wrote {args.output}")
     else:
-        for row in C:
-            print(" ".join(format(x, ".12g") for x in row))
+        row_format = " ".join(["%.12g"] * C.shape[1])
+        for row in C.tolist():
+            print(row_format % tuple(row))
     return 0
 
 
 def _bench(args) -> int:
     dec = load_decomposition(args.file)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise UsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+    if min(sizes) < 1:
+        raise UsageError("--sizes entries must be >= 1")
     rows = benchmark(dec, sizes, cutoff=args.cutoff)
     if args.json:
         print(json.dumps([r.to_record() for r in rows]))
@@ -265,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, SchemaError, ValueError) as e:
+    except (UsageError, SchemaError, RefusedInput) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

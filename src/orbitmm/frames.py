@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tensor import exact_matrix
+from .tensor import RefusedInput, exact_matrix
 
 __all__ = [
     "Frame",
@@ -52,7 +52,7 @@ class Frame:
 
     def require_simplex(self):
         if self.kind != "simplex":
-            raise ValueError(f"frame {self.label!r} is not a simplex frame")
+            raise RefusedInput(f"frame {self.label!r} is not a simplex frame")
 
 
 def _simplex_gram(n: int) -> np.ndarray:
@@ -138,7 +138,7 @@ def fixture_frame(name: str) -> Frame:
             sigma=_S5_SIGMA,
         )
     if name not in _FIXTURES:
-        raise ValueError(f"unknown fixture {name!r}; known: {FIXTURE_NAMES}")
+        raise RefusedInput(f"unknown fixture {name!r}; known: {FIXTURE_NAMES}")
     vecs = np.array(_FIXTURES[name])
     n = vecs.shape[1]
     return Frame(n=n, vectors=vecs, gram=_simplex_gram(n), label=name)

@@ -47,16 +47,19 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _dump_scalar(x, exact: bool) -> str:
-    if exact:
-        f = Fraction(x)
-        return f"{f.numerator}/{f.denominator}"
-    return format(float(x), ".17g")
+def _dump_scalar(x) -> str:
+    f = Fraction(x)
+    return f"{f.numerator}/{f.denominator}"
 
 
 def _dump_stack(X: np.ndarray, exact: bool) -> list[list[str]]:
-    """Each factor of a stack as its row-major list of scalar strings."""
-    return [[_dump_scalar(x, exact) for x in row] for row in X.reshape(len(X), -1).tolist()]
+    """Each factor of a stack as its row-major list of scalar strings; a
+    float factor is formatted by one %-operation over its whole row."""
+    rows = X.reshape(len(X), -1).tolist()
+    if exact:
+        return [[_dump_scalar(x) for x in row] for row in rows]
+    row_format = " ".join(["%.17g"] * (X.shape[1] * X.shape[2]))
+    return [(row_format % tuple(row)).split(" ") for row in rows]
 
 
 def save_decomposition(dec: Decomposition, path) -> None:
@@ -95,11 +98,13 @@ def load_decomposition(path) -> Decomposition:
         if doc["format_version"] != FORMAT_VERSION:
             raise SchemaError(f"unsupported format_version {doc['format_version']}")
         n = int(doc["n"])
+        if n < 1:
+            raise SchemaError(f"n must be >= 1, got {n}")
         exact = doc["scalar_kind"] == "rational"
         terms = doc["terms"]
         U, V, W = (_load_stack([t[s] for t in terms], n, exact) for s in "abc")
         return Decomposition(U, V, W, doc.get("scheme", "imported"), doc.get("params", {}))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         if isinstance(e, SchemaError):
             raise
         raise SchemaError(f"malformed decomposition file: {e}") from e

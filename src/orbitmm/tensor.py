@@ -27,8 +27,8 @@ float64).
 product KR[r] = a_r (x) b_r (r x n^4) times W (r x n^2) is one GEMM, taken
 over chunks of n^2 terms so that no temporary exceeds the n^6 entries of the
 result.  Every dense n^6 tensor (`tensor_of`, `mm_tensor`, `rank1_tensor`)
-is refused with a ValueError, before anything is allocated, when its
-float64 size would exceed MAX_DENSE_BYTES.
+is refused with a RefusedInput (a ValueError), before anything is
+allocated, when its float64 size would exceed MAX_DENSE_BYTES.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "RefusedInput",
     "Rank1Term",
     "Decomposition",
     "MAX_DENSE_BYTES",
@@ -54,6 +55,12 @@ __all__ = [
     "frobenius_inner",
     "operator_trace",
 ]
+
+
+class RefusedInput(ValueError):
+    """A documented refusal of an input the package does not handle (a dense
+    tensor above MAX_DENSE_BYTES, a plan that cannot split, an unknown or
+    non-simplex fixture frame), raised before any work is done."""
 
 
 # Largest dense n^6 tensor built here: 1 GiB of float64 entries, so n <= 22.
@@ -136,7 +143,7 @@ class Decomposition:
 def _require_dense_size(n: int) -> None:
     nbytes = 8 * n**6
     if nbytes > MAX_DENSE_BYTES:
-        raise ValueError(
+        raise RefusedInput(
             f"a dense tensor for n={n} needs {nbytes} bytes ({n}^6 float64 entries), "
             f"above the limit of {MAX_DENSE_BYTES} bytes"
         )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from orbitmm.bilinear import (
+    _group_size,
     benchmark,
     format_bench_table,
     multiply_recursive,
@@ -171,11 +172,15 @@ def test_recursive_rejects_bad_input():
 
 
 # (size, cutoff, recursion depth): depths 0 to 3, padded sizes, and sizes at
-# or below the cutoff; n=4 stops at depth 2, where rank 61 makes 3721 leaves
+# or below the cutoff; n=4 stops at depth 2, where rank 61 makes 3721 leaves.
+# orbit2 at 384 (padded to 512) and lattice3 at 729 have top blocks of 65536
+# and 59049 entries, so their combination GEMMs run in several column panels
+# of PANEL = 8192, lattice3's last one ragged; lattice4 at 256 runs 61 terms in A-side groups
+# of 12, the last group of one.
 EXECUTOR_CASES = {
-    "orbit2": [(1, 1, 0), (4, 4, 0), (5, 8, 0), (5, 4, 1), (10, 4, 2), (17, 4, 3), (8, 1, 3)],
-    "lattice3": [(3, 3, 0), (5, 9, 0), (5, 3, 1), (10, 3, 2), (17, 1, 3)],
-    "lattice4": [(4, 4, 0), (3, 16, 0), (5, 4, 1), (10, 1, 2)],
+    "orbit2": [(1, 1, 0), (4, 4, 0), (5, 8, 0), (5, 4, 1), (10, 4, 2), (17, 4, 3), (8, 1, 3), (384, 64, 3)],
+    "lattice3": [(3, 3, 0), (5, 9, 0), (5, 3, 1), (10, 3, 2), (17, 1, 3), (729, 81, 2)],
+    "lattice4": [(4, 4, 0), (3, 16, 0), (5, 4, 1), (10, 1, 2), (256, 16, 2)],
 }
 EXECUTOR_DECS = {
     "orbit2": lambda: orbit_decomposition(orbit_spec_for(2)),
@@ -206,6 +211,14 @@ def test_recursive_matches_reference(name, kind, nprng):
         assert rep.result.shape == (size, size)
         assert np.abs(rep.result - ref).max() <= 1e-12 * scale
         assert np.abs(rep.result - A @ B).max() <= 1e-12 * scale
+
+
+# (n, rank, A-side group size): the n^2 blocks of Y less the ceil(rank/n^2)
+# that hold the children's stacks, and 1 for rank 13 > n^2(n^2-1), whose
+# stacks spill into the workspace
+@pytest.mark.parametrize("n,rank,g", [(2, 7, 2), (3, 25, 6), (4, 61, 12), (2, 13, 1)])
+def test_group_size(n, rank, g):
+    assert _group_size(rank, n * n) == g
 
 
 @pytest.mark.parametrize("size", [8, 5])

@@ -195,6 +195,15 @@ def test_analyze_theta_conflict_exits_2(capsys):
     assert code == 2 and "not both" in err and out == ""
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_non_finite_theta_exits_2(tmp_path, capsys, theta):
+    path = tmp_path / "t.json"
+    code, _, err = run(capsys, "gen", "--n", "2", "--scheme", "strassen-theta", "--theta", theta, "-o", str(path))
+    assert code == 2 and "finite" in err and not path.exists()
+    code, out, err = run(capsys, "analyze", "strassen", "--theta", theta)
+    assert code == 2 and "finite" in err and out == ""
+
+
 def test_analyze_file(tmp_path, capsys):
     path = gen_lattice(tmp_path, capsys)
     code, out, _ = run(capsys, "analyze", str(path))
@@ -224,6 +233,12 @@ def test_multiply_stdout(tmp_path, capsys):
     code, out, _ = run(capsys, "multiply", str(dec), str(fa), str(fb))
     assert code == 0
     assert "19" in out and "50" in out
+    # one format(x, ".12g") per entry
+    save_matrix(np.array([[1 / 3, -1e-300], [1e300, 5e-324]]), fa)
+    save_matrix(np.eye(2), fb)
+    code, out, _ = run(capsys, "multiply", str(dec), str(fa), str(fb), "--cutoff", "2")
+    assert code == 0
+    assert out == "0.333333333333 -1e-300\n1e+300 4.94065645841e-324\n"
 
 
 def test_multiply_non_finite_matrix_exits_2(tmp_path, capsys):
@@ -256,6 +271,26 @@ def test_bench_json(tmp_path, capsys):
     rows = json.loads(out)
     assert [r["size"] for r in rows] == [4, 8]
     assert rows[1]["count_at_cutoff_1"] == 7**3
+
+
+@pytest.mark.parametrize("sizes", ["a", "4,", "0", "4,-3"])
+def test_bench_bad_sizes_exit_2(tmp_path, capsys, sizes):
+    dec = gen_lattice(tmp_path, capsys)
+    code, out, err = run(capsys, "bench", str(dec), "--sizes", sizes)
+    assert code == 2 and "--sizes" in err and out == ""
+
+
+def test_internal_value_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    # only documented refusals exit 2; a ValueError from inside the program
+    # is a fault and propagates with its traceback
+    dec = gen_lattice(tmp_path, capsys)
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("orbitmm.cli.verify_float", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["verify", str(dec)])
 
 
 def test_bench_table(tmp_path, capsys):

@@ -10,6 +10,7 @@ from orbitmm.frames import simplex_frame
 from orbitmm.tensor import Decomposition
 from orbitmm.serialize import (
     SchemaError,
+    _dump_stack,
     load_decomposition,
     load_matrix,
     save_decomposition,
@@ -82,6 +83,32 @@ def test_rational_scalars_survive(tmp_path):
         flat = doc["terms"][0]["a"]
         assert all(isinstance(s, str) for s in flat)
         Fraction(flat[0])  # parses
+
+
+def test_dump_stack_matches_per_entry_format(nprng):
+    # float factors are pinned to one format(float(x), ".17g") per entry
+    special = [0.0, -0.0, 5e-324, 1e300, -1e-300, 1 / 3, 1e16, -5e-324, 2.0**53 + 2]
+    X = np.concatenate([special, nprng.standard_normal(27) * 10.0 ** nprng.integers(-300, 300, 27)]).reshape(4, 3, 3)
+    assert _dump_stack(X, False) == [[format(float(x), ".17g") for x in f.flat] for f in X]
+    assert _dump_stack(X, False)[0][:2] == ["0", "-0"]
+    Q = np.array([Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(5, 7)], dtype=object).reshape(1, 2, 2)
+    assert _dump_stack(Q, True) == [["1/3", "-2/1", "0/1", "5/7"]]
+
+
+def test_nonpositive_n_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format_version": 1, "n": 0, "scalar_kind": "float64", "terms": [{"a": [], "b": [], "c": []}]}))
+    with pytest.raises(SchemaError, match="n must be >= 1"):
+        load_decomposition(path)
+
+
+def test_zero_denominator_rejected(tmp_path):
+    q = ["1/1", "0/1", "0/1", "1/1"]
+    doc = {"format_version": 1, "n": 2, "scalar_kind": "rational", "terms": [{"a": ["1/0"] + q[1:], "b": q, "c": q}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="malformed"):
+        load_decomposition(path)
 
 
 def test_truncated_file_rejected(tmp_path):
