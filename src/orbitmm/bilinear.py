@@ -14,33 +14,39 @@ rank^depth * cutoff_cost overall.  There is one executor, multiply_recursive;
 multiply_via is its one-level case (cutoff 1 at the decomposition's own
 size).
 
-multiply_recursive first copies A and B once into a recursive block layout
-(index digits ordered i0, j0, i1, j1, ..., row, col), in which the n*n
-sub-blocks of every node form one contiguous (n*n, h*h) stack.  Each node
-overwrites its B operand with the product, writing every C block once:
-one GEMM of the B-side factors with B's stack forms all rank B-side
-combinations, after which B's blocks are free.  The children's stacks take
-the last ceil(rank/n^2) of them, and the first g = n^2 - ceil(rank/n^2)
-hold A-side combinations: one GEMM of g A-side factor rows with A's stack
-forms a group of g terms' A sides (g = 2, 6, 12 for the n = 2, 3, 4
-schemes of rank n^3 - n + 1, so A's stack is read ceil(rank/g) times, not
-rank times), and each child multiplies its block into its row of the rank
-stack in place.  One GEMM of the C-side factors with the finished stack
-then writes the node's n*n blocks.  These GEMMs have an inner dimension of
-n*n or rank and rows of up to p^2/n^2 entries, so they are bound by memory
-bandwidth; above PANEL columns each runs in column panels of PANEL, on
-which BLAS runs them up to about twice as fast.  A leaf multiplies into scratch by np.matmul and
-copies the product back.  Each child's stack lives in its parent's free
-blocks, so the one workspace is the top node's stack (rank*(p/n)^2
-entries) whenever rank <= n^2(n^2-1), as for every scheme of rank <= n^3;
-above that the stacks of all levels follow one another in it, and each
-group is one term.  The result is copied back to row-major order
-once.  The factor rows come straight from the decomposition's stacks U, V
-and W (transposed for c^T).
+multiply_recursive first copies B once into a recursive block layout (index
+digits ordered i0, j0, i1, j1, ..., row, col), in which the n*n sub-blocks
+of every node form one contiguous (n*n, h*h) stack.  A is only read, so the
+top node gathers its A sides from the caller's row-major A in place, one
+column panel at a time (only a padded, non-float64 or non-contiguous A is
+copied once, to row-major float64).  Each node overwrites its B operand with
+the product, writing every C block once: one GEMM of the B-side factors with
+B's stack forms all rank B-side combinations, after which B's blocks are
+free.  The children's stacks take the last ceil(rank/n^2) of them, and the
+first g = n^2 - ceil(rank/n^2) hold A-side combinations: one GEMM of g
+A-side factor rows with A's stack forms a group of g terms' A sides (g = 2,
+6, 12 for the n = 2, 3, 4 schemes of rank n^3 - n + 1, so A's stack is read
+ceil(rank/g) times, not rank times), and each child multiplies its block
+into its row of the rank stack in place.  One GEMM of the C-side factors
+with the finished stack then writes the node's n*n blocks.  These GEMMs have
+an inner dimension of n*n or rank and rows of up to p^2/n^2 entries, so they
+are bound by memory bandwidth; above PANEL columns each runs in column
+panels of PANEL, on which BLAS runs them up to about twice as fast.  A leaf
+multiplies into scratch by np.matmul and copies the product back.  Each
+child's stack lives in its parent's free blocks, so the one workspace is the
+top node's stack (rank*(p/n)^2 entries) whenever rank <= n^2(n^2-1), as for
+every scheme of rank <= n^3; above that the stacks of all levels follow one
+another in it, and each group is one term.  The result is copied back to
+row-major order once.  So the temporaries of one product peak at B's copy,
+the workspace and the gather buffer: p^2 + rank*(p/n)^2 + min(n^2*PANEL,
+(p/n)^2) entries (2.75 p^2 and a little more for the n = 2 orbit).  The
+factor rows come straight from the decomposition's stacks U, V and W
+(transposed for c^T).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -121,25 +127,58 @@ def _interleave(depth: int) -> list[int]:
     return [a for k in range(depth + 1) for a in (k, depth + 1 + k)]
 
 
+def _pad(M: np.ndarray, padded: int) -> np.ndarray:
+    """M zero-padded to padded x padded (a float64 copy), or M itself."""
+    if M.shape[0] == padded:
+        return M
+    P = np.zeros((padded, padded))
+    P[: M.shape[0], : M.shape[1]] = M
+    return P
+
+
+def _layout_view(M: np.ndarray, n: int, depth: int, leaf: int) -> np.ndarray:
+    """A view of the padded M with its axes in block layout order."""
+    digits = (n,) * depth + (leaf,)
+    return M.reshape(digits + digits).transpose(_interleave(depth))
+
+
 def _to_blocks(M: np.ndarray, n: int, padded: int, depth: int, leaf: int) -> np.ndarray:
     """A fresh copy of M, zero-padded to padded x padded, as a flat float64
     array in the recursive block layout: each node's n*n sub-blocks are one
     contiguous (n*n, h*h) stack, itself in that layout, down to row-major
     leaves.  Always a copy: the executor overwrites it."""
-    if M.shape[0] != padded:
-        P = np.zeros((padded, padded))
-        P[: M.shape[0], : M.shape[1]] = M
-        M = P
-    digits = (n,) * depth + (leaf,)
-    X = M.reshape(digits + digits).transpose(_interleave(depth))
+    X = _layout_view(_pad(M, padded), n, depth, leaf)
     return np.array(X, dtype=np.float64, order="C").reshape(-1)
+
+
+def _a_panels(A: np.ndarray, n: int, depth: int, leaf: int) -> list[np.ndarray]:
+    """The top node's A stack, (n*n, (p/n)^2) in block layout, as column
+    panels that are views of the padded row-major A: each a slice of one
+    digit axis, whole in every later axis, of at most PANEL and at most
+    (p/n)^2/n^2 columns, so the buffer that gathers a panel never holds
+    more than (p/n)^2 entries.  When a leaf has fewer entries than that
+    limit a panel spans whole groups of leaves, so each copy and GEMM
+    still moves a large panel."""
+    view = _layout_view(A, n, depth, leaf)
+    radices = view.shape[2:]
+    limit = max(min(PANEL, A.size // n**4), 1)
+    axis, width = len(radices) - 1, 1
+    while axis and width * radices[axis] <= limit:
+        width *= radices[axis]
+        axis -= 1
+    step = limit // width
+    whole = (slice(None),) * 2
+    return [
+        view[whole + prefix + (slice(s, s + step),)]
+        for prefix in itertools.product(*map(range, radices[:axis]))
+        for s in range(0, radices[axis], step)
+    ]
 
 
 def _from_blocks(C: np.ndarray, n: int, size: int, padded: int, depth: int, leaf: int) -> np.ndarray:
     """Inverse of _to_blocks, cropped to size x size; owns its data."""
-    digits = (n,) * depth + (leaf,)
     out = np.empty((padded, padded))
-    view = out.reshape(digits + digits).transpose(_interleave(depth))
+    view = _layout_view(out, n, depth, leaf)
     np.copyto(view, C.reshape(view.shape))
     return out if padded == size else out[:size, :size].copy()
 
@@ -164,6 +203,20 @@ def _panels(M, src, dst) -> None:
         np.matmul(M, src[:, c : c + PANEL], out=dst[:, c : c + PANEL])
 
 
+def _gather(M, panels, dst) -> None:
+    """dst := M @ src, src given by its column panels (see _a_panels): each
+    is copied into one small buffer and multiplied from there."""
+    nn = M.shape[1]
+    buf = np.empty(panels[0].size)  # the first panel is a widest one
+    c = 0
+    for view in panels:
+        w = view.size // nn
+        G = buf[: view.size]
+        np.copyto(G.reshape(view.shape), view)
+        np.matmul(M, G.reshape(nn, w), out=dst[:, c : c + w])
+        c += w
+
+
 def _group_size(rank: int, nn: int) -> int:
     """How many A-side combinations one GEMM forms in Y's free blocks: all
     nn blocks but the ceil(rank/nn) that hold the children's stacks, or 1
@@ -172,8 +225,11 @@ def _group_size(rank: int, nn: int) -> int:
 
 
 def _node(X, Y, S, level, depth, leaf, code, spill) -> int:
-    """Y := X Y, both flat in block layout; X is only read and the flat S
-    is scratch.  Returns the number of leaf products made."""
+    """Y := X Y, Y flat in block layout and the flat S scratch.  X is only
+    read: flat in block layout too, except at the top node of a product
+    that splits (level 0 < depth), where it is the column panels of its
+    stack in the caller's row-major matrix (see _a_panels).  Returns the
+    number of leaf products made."""
     if level == depth:
         T = S[: leaf * leaf]
         np.matmul(X.reshape(leaf, leaf), Y.reshape(leaf, leaf), out=T.reshape(leaf, leaf))
@@ -181,16 +237,17 @@ def _node(X, Y, S, level, depth, leaf, code, spill) -> int:
         return 1
     U, V, Wt = code
     rank, nn = V.shape
-    Xs, Ys = X.reshape(nn, -1), Y.reshape(nn, -1)
+    Ys = Y.reshape(nn, -1)
     hh = Ys.shape[1]
     St = S[: rank * hh].reshape(rank, hh)
     _panels(V, Ys, St)  # every term's B side; Y's blocks are free from here
     g = _group_size(rank, nn)
     child = S[rank * hh :] if spill else Ys[g:].reshape(-1)
+    a_sides, Xs = (_panels, X.reshape(nn, -1)) if level else (_gather, X)
     leaves = 0
     for t0 in range(0, rank, g):
         k = min(g, rank - t0)
-        _panels(U[t0 : t0 + k], Xs, Ys[:k])  # A sides of k terms, one pass over X
+        a_sides(U[t0 : t0 + k], Xs, Ys[:k])  # A sides of k terms, one pass over X
         for j in range(k):
             leaves += _node(Ys[j], St[t0 + j], child, level + 1, depth, leaf, code, spill)
     _panels(Wt, St, Ys)  # each C block written once
@@ -206,7 +263,10 @@ def multiply_recursive(
     n, size, rank = dec.n, A.shape[0], dec.rank
     padded, depth, leaf = _plan(n, size, cutoff)
     t0 = time.perf_counter()
-    X = _to_blocks(A, n, padded, depth, leaf)
+    # A is only read: the caller's own matrix unless it must be padded or
+    # converted, and the top node gathers its A sides from it in place
+    A = np.ascontiguousarray(_pad(A, padded), dtype=np.float64)
+    X = _a_panels(A, n, depth, leaf) if depth else A
     Y = _to_blocks(B, n, padded, depth, leaf)
     # a child's stack fits in its parent's n*n - 1 free blocks unless
     # rank > n^2(n^2-1); then every level's stack and the leaf's scratch
@@ -215,7 +275,7 @@ def multiply_recursive(
     stacks = [rank * (padded // n ** (level + 1)) ** 2 for level in range(depth)]
     S = np.empty(sum(stacks) + leaf * leaf if spill or not depth else stacks[0])
     leaves = _node(X, Y, S, 0, depth, leaf, _compile(dec), spill)
-    del X, S  # free the operand copy and the workspace before the copy back
+    del A, X, S  # free any converted copy of A and the workspace before the copy back
     result = _from_blocks(Y, n, size, padded, depth, leaf)
     wall = time.perf_counter() - t0
     return MulReport(

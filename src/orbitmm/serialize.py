@@ -73,7 +73,10 @@ def save_decomposition(dec: Decomposition, path) -> None:
         "scalar_kind": "rational" if exact else "float64",
         "terms": [{"a": x, "b": y, "c": z} for x, y, z in zip(a, b, c)],
     }
-    Path(path).write_text(json.dumps(doc, indent=1))
+    try:
+        Path(path).write_text(json.dumps(doc, indent=1))
+    except OSError as e:
+        raise SchemaError(f"cannot write decomposition file: {e}") from e
 
 
 def _load_stack(rows: list, n: int, exact: bool) -> np.ndarray:
@@ -114,7 +117,10 @@ def save_matrix(m: np.ndarray, path) -> None:
     rows, cols = m.shape
     row = " ".join(["%.17g"] * cols)
     lines = [f"{rows} {cols}"] + [row % tuple(r.tolist()) for r in np.asarray(m, dtype=np.float64)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    try:
+        Path(path).write_text("\n".join(lines) + "\n")
+    except OSError as e:
+        raise SchemaError(f"cannot write matrix file: {e}") from e
 
 
 def load_matrix(path) -> np.ndarray:
@@ -128,6 +134,8 @@ def load_matrix(path) -> np.ndarray:
         values = np.array(tokens[2:], dtype=np.float64)
     except (IndexError, ValueError) as e:
         raise SchemaError(f"malformed matrix file: {e}") from e
+    if rows < 0 or cols < 0:
+        raise SchemaError(f"matrix file has negative dimensions {rows} x {cols}")
     if len(values) != rows * cols:
         raise SchemaError(f"matrix file has {len(values)} values, expected {rows * cols}")
     return _finite(values, "matrix file").reshape(rows, cols)

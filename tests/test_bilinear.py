@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from orbitmm.bilinear import (
+    PANEL,
     _group_size,
     benchmark,
     format_bench_table,
@@ -235,21 +236,28 @@ def test_recursive_result_owns_its_data(size, nprng):
 # (size, cutoff): depth 0, depth 1 at size == n, depth 3, padded sizes
 @pytest.mark.parametrize("name,size,cutoff", [
     ("orbit2", 4, 4), ("orbit2", 2, 1), ("orbit2", 8, 1), ("orbit2", 5, 1), ("orbit2", 6, 2),
-    ("lattice3", 3, 1), ("lattice3", 10, 3),
+    ("orbit2", 100, 8), ("lattice3", 3, 1), ("lattice3", 10, 3),
 ])
 def test_recursive_leaves_inputs_unchanged(name, size, cutoff, nprng):
+    # the top node reads a float64, C-contiguous, unpadded A in place; a
+    # transposed view, a strided slice and an int64 matrix are converted
     dec = EXECUTOR_DECS[name]()
     A, B = nprng.standard_normal((2, size, size))
-    A0, B0 = A.copy(), B.copy()
-    rep = multiply_recursive(dec, A, B, cutoff=cutoff)
-    assert np.array_equal(A, A0) and np.array_equal(B, B0)
-    assert np.abs(rep.result - A0 @ B0).max() <= 1e-12 * float(np.abs(A0 @ B0).max())
+    wide = nprng.standard_normal((2 * size, 3 * size))
+    for A in (A, A.T, wide[::2, 1::3], nprng.integers(-9, 10, (size, size))):
+        A0, B0 = A.copy(), B.copy()
+        rep = multiply_recursive(dec, A, B, cutoff=cutoff)
+        assert np.array_equal(A, A0) and np.array_equal(B, B0)
+        assert np.abs(rep.result - A0 @ B0).max() <= 1e-12 * float(np.abs(A0 @ B0).max())
 
 
-@pytest.mark.parametrize("name,size,cutoff", [("orbit2", 512, 64), ("lattice3", 243, 27)])
+@pytest.mark.parametrize("name,size,cutoff", [("orbit2", 512, 64), ("lattice3", 243, 27), ("lattice3", 729, 27)])
 def test_recursive_peak_memory(name, size, cutoff, nprng):
-    # the block-layout copies of A and B plus the top node's stack of rank
-    # (p/n)^2 entries; every child's stack lives in its parent's free blocks
+    # the block-layout copy of B, the top node's stack of rank (p/n)^2
+    # entries and the buffer that gathers the top node's A sides from the
+    # caller's A, n^2 rows of at most PANEL and (p/n)^2/n^2 entries; every
+    # child's stack lives in its parent's free blocks.  A copy of A would
+    # exceed this bound at every size here.
     dec = EXECUTOR_DECS[name]()
     A, B = nprng.standard_normal((2, size, size))
     multiply_recursive(dec, A, B, cutoff=cutoff)  # warm up numpy's caches
@@ -260,7 +268,8 @@ def test_recursive_peak_memory(name, size, cutoff, nprng):
     finally:
         tracemalloc.stop()
     assert rep.recursion_depth >= 2
-    assert peak <= 8 * (2 * size**2 + dec.rank * (size // dec.n) ** 2) + 64 * 1024
+    block = (size // dec.n) ** 2
+    assert peak <= 8 * (size**2 + dec.rank * block + min(dec.n**2 * PANEL, block)) + 64 * 1024
 
 
 def test_recursive_rank_above_free_blocks(nprng):

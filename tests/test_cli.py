@@ -60,6 +60,13 @@ def test_gen_scheme_dimension_mismatch_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_gen_unwritable_output_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "gen", "--n", "2", "--scheme", "strassen-theta", "-o", str(out_path))
+    assert code == 2
+    assert "cannot write decomposition file" in err and not out_path.exists()
+
+
 def test_gen_theta_conflict_exits_2(tmp_path, capsys):
     code, _, _ = run(
         capsys,
@@ -250,6 +257,24 @@ def test_multiply_non_finite_matrix_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "multiply", str(dec), str(fa), str(fb))
     assert code == 2
     assert "non-finite" in err and out == ""
+
+
+def test_multiply_negative_dimensions_exits_2(tmp_path, capsys):
+    dec = gen_lattice(tmp_path, capsys)
+    fa = tmp_path / "a.txt"
+    fa.write_text("-2 -2\n1 0\n0 1\n")
+    code, out, err = run(capsys, "multiply", str(dec), str(fa), str(fa))
+    assert code == 2
+    assert "negative dimensions" in err and out == ""
+
+
+def test_multiply_unwritable_output_exits_2(tmp_path, capsys):
+    dec = gen_lattice(tmp_path, capsys)
+    fa = tmp_path / "a.txt"
+    save_matrix(np.eye(2), fa)
+    code, _, err = run(capsys, "multiply", str(dec), str(fa), str(fa), "-o", str(tmp_path / "missing" / "c.txt"))
+    assert code == 2
+    assert "cannot write matrix file" in err
 
 
 def test_multiply_invalid_dec_refused_without_force(tmp_path, capsys):
