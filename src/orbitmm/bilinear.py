@@ -260,6 +260,8 @@ def multiply_recursive(
     """Recursive block multiplication driven by the decomposition."""
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("multiply_recursive needs square matrices of equal size")
+    if np.iscomplexobj(A) or np.iscomplexobj(B):
+        raise RefusedInput("multiply_recursive takes real matrices; a complex input would lose its imaginary part")
     n, size, rank = dec.n, A.shape[0], dec.rank
     padded, depth, leaf = _plan(n, size, cutoff)
     t0 = time.perf_counter()

@@ -127,13 +127,7 @@ def _verify(args) -> int:
 
 
 def _inv_record(inv) -> dict:
-    return {
-        "n": inv.n,
-        "rank": inv.rank,
-        "operator_trace": inv.operator_trace,
-        "frobenius_sq": inv.frobenius_sq,
-        "inner_with_mm": inv.inner_with_mm,
-    }
+    return {k: getattr(inv, k) for k in ("n", "rank", "operator_trace", "frobenius_sq", "inner_with_mm")}
 
 
 def _print_fourier_table(dec):

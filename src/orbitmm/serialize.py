@@ -15,16 +15,19 @@ with each matrix stored row-major; rationals serialize as "p/q" strings and
 floats as 17-significant-digit decimals, so both kinds round-trip losslessly.
 The file keeps one record per term; in memory each side is one factor stack
 (see `tensor`).  Loading parses a side of all terms at once: one float64
-array conversion, or one list of Fractions for rational files.
+array conversion, or one list of Fractions for rational files.  Saving
+writes the bytes of json.dumps(doc, indent=1), the terms laid out by joins.
 
 Matrix files are plain text: first line "rows cols", then row-major
-whitespace-separated decimals.
+whitespace-separated decimals.  Both directions stream, a row or a line at
+a time, and allocate nothing from the header before counting the values.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -55,26 +58,35 @@ def _dump_scalar(x) -> str:
 def _dump_stack(X: np.ndarray, exact: bool) -> list[list[str]]:
     """Each factor of a stack as its row-major list of scalar strings; a
     float factor is formatted by one %-operation over its whole row."""
-    rows = X.reshape(len(X), -1).tolist()
+    entries = X.shape[1] * X.shape[2]
+    rows = X.reshape(len(X), entries).tolist()
     if exact:
         return [[_dump_scalar(x) for x in row] for row in rows]
-    row_format = " ".join(["%.17g"] * (X.shape[1] * X.shape[2]))
+    row_format = " ".join(["%.17g"] * entries)
     return [(row_format % tuple(row)).split(" ") for row in rows]
 
 
 def save_decomposition(dec: Decomposition, path) -> None:
+    """Write json.dumps(doc, indent=1) byte for byte: the header fields through
+    json, then the terms (the last field) laid out by joins, as the tokens of
+    `_dump_stack` (digits, sign, ".", "e", "/", inf, nan) need no escaping."""
     exact = dec.exact
-    a, b, c = (_dump_stack(X, exact) for X in (dec.U, dec.V, dec.W))
-    doc = {
+    head = {
         "format_version": FORMAT_VERSION,
         "n": dec.n,
         "scheme": dec.scheme,
         "params": dec.params,
         "scalar_kind": "rational" if exact else "float64",
-        "terms": [{"a": x, "b": y, "c": z} for x, y, z in zip(a, b, c)],
     }
+    side = '   "%s": [\n    "%s"\n   ]'
+    terms = ",\n".join(
+        "  {\n" + ",\n".join(side % (s, '",\n    "'.join(x)) for s, x in zip("abc", t)) + "\n  }"
+        for t in zip(*(_dump_stack(X, exact) for X in (dec.U, dec.V, dec.W)))
+    )
+    # reopen the header's closing "\n}" to append "terms" as its last field
+    text = json.dumps(head, indent=1)[:-2] + ',\n "terms": ' + (f"[\n{terms}\n ]" if terms else "[]") + "\n}"
     try:
-        Path(path).write_text(json.dumps(doc, indent=1))
+        Path(path).write_text(text)
     except OSError as e:
         raise SchemaError(f"cannot write decomposition file: {e}") from e
 
@@ -114,28 +126,37 @@ def load_decomposition(path) -> Decomposition:
 
 
 def save_matrix(m: np.ndarray, path) -> None:
+    """Write the matrix one row at a time."""
     rows, cols = m.shape
-    row = " ".join(["%.17g"] * cols)
-    lines = [f"{rows} {cols}"] + [row % tuple(r.tolist()) for r in np.asarray(m, dtype=np.float64)]
+    row = " ".join(["%.17g"] * cols) + "\n"
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        with open(path, "w") as f:
+            f.write(f"{rows} {cols}\n")
+            for r in m:
+                f.write(row % tuple(np.asarray(r, dtype=np.float64).tolist()))
     except OSError as e:
         raise SchemaError(f"cannot write matrix file: {e}") from e
 
 
 def load_matrix(path) -> np.ndarray:
+    """Read the matrix one line at a time: the header's two tokens may span
+    lines, and each line's values become one float64 array."""
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            lines = (line.split() for line in f)
+            for head in accumulate(lines, initial=[]):
+                if len(head) >= 2:
+                    break
+            rows, cols = int(head[0]), int(head[1])
+            chunks = [np.array(head[2:], dtype=np.float64)]
+            chunks += [np.array(tokens, dtype=np.float64) for tokens in lines]
     except OSError as e:
         raise SchemaError(f"cannot read matrix file: {e}") from e
-    tokens = text.split()
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-        values = np.array(tokens[2:], dtype=np.float64)
     except (IndexError, ValueError) as e:
         raise SchemaError(f"malformed matrix file: {e}") from e
     if rows < 0 or cols < 0:
         raise SchemaError(f"matrix file has negative dimensions {rows} x {cols}")
+    values = np.concatenate(chunks)
     if len(values) != rows * cols:
         raise SchemaError(f"matrix file has {len(values)} values, expected {rows * cols}")
     return _finite(values, "matrix file").reshape(rows, cols)

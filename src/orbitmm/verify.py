@@ -3,14 +3,19 @@
 verify_float materializes the dense tensor and compares entrywise with MM_n.
 verify_exact_gram never touches coordinates: it evaluates the squared norm
 |D - MM|^2 for the lattice construction purely from the frame's exact
-rational Gram matrix, returning a Fraction that is 0 iff D = MM.
+rational Gram matrix, returning a Fraction that is 0 iff D = MM.  Its sums
+over (pairs of) lattice terms are three traces of cubes of integer matrices,
+tr(X^3) = ((X @ X) * X.T).sum(): float64 GEMMs when d^3 max|X|^3 < 2^53
+(every partial sum is then an exactly held integer), Python ints otherwise.
+invariants_report computes its factor ranks only when they are read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +67,15 @@ def verify_float(dec: Decomposition, tol: float = DEFAULT_TOL) -> VerifyReport:
     )
 
 
+def _trace_cube(X: np.ndarray) -> int:
+    """tr(X^3) = ((X @ X) * X.T).sum() of a square integer matrix, exactly:
+    every partial sum is at most d^3 m^3 (d = len(X), m = max|X|), so below
+    2^53 float64 BLAS holds them all; above it, Python ints in object arrays."""
+    d, m = len(X), int(abs(X).max())
+    X = X.astype(np.float64 if d**3 * m**3 < 2**53 else object)
+    return int(((X @ X) * X.T).sum())
+
+
 def verify_exact_gram(frame: Frame) -> Fraction:
     """|D - MM|^2 as an exact rational, where D is the lattice decomposition
     of the frame.  Expands to <D,D> - 2<D,MM> + n^3; every inner product
@@ -71,70 +85,35 @@ def verify_exact_gram(frame: Frame) -> Fraction:
       <MM, a (x) b (x) c>            = tr abc
       <1^(x)3, a (x) b (x) c>        = tr a * tr b * tr c
 
-    The pairwise double sum over the n^3 - n lattice terms is computed
-    directly (no algebraic shortcuts) over a common integer denominator.
+    Term (i, j, k), for distinct i, j, k, is the product of c |w_i><w_j - w_i|,
+    c |w_j><w_k - w_j| and c |w_k><w_i - w_k| (c = n/(n+1)).  With G the Gram
+    matrix over a common denominator L, the sums over (pairs of) terms are
+    traces of cubes of integer matrices (see `_trace_cube`):
+
+      pair double sum  tr(M^3) / L^6,  M[(i,i'),(j,j')] = G[i,i'] <w_j - w_i, w_j' - w_i'>
+      <1^(x)3, terms>  tr(A^3) / L^3,  A[x,y] = G[y,x] - G[x,x]
+      <MM, terms>      tr(B^3) / L^3,  B[x,y] = G[y,y] - G[x,y]
+
+    M vanishes where i = j or i' = j', and A, B on their diagonals, so the
+    traces run over distinct triples only.
     """
     frame.require_simplex()
-    n = frame.n
-    k = frame.size
-    G = frame.gram
+    n, k = frame.n, frame.size
     c = Fraction(n, n + 1)
-
-    # common denominator: all arithmetic below is integer until the end
-    L = 1
-    for i in range(k):
-        for j in range(k):
-            L = L * G[i, j].denominator // math.gcd(L, G[i, j].denominator)
-    Gi = [[int(G[i, j] * L) for j in range(k)] for i in range(k)]
-
-    # per-slot inner products: slot (i, j) encodes c |w_i><w_j - w_i|
-    # P[(i,j)][(i',j')] * c^2 / L^2 = <slot, slot'>
-    slots = [(i, j) for i in range(k) for j in range(k) if i != j]
-    slot_id = {s: t for t, s in enumerate(slots)}
-    P = [[0] * len(slots) for _ in slots]
-    for (i, j), si in slot_id.items():
-        for (i2, j2), si2 in slot_id.items():
-            e = Gi[j][j2] - Gi[j][i2] - Gi[i][j2] + Gi[i][i2]
-            P[si][si2] = Gi[i][i2] * e
-
-    triples = [
-        (slot_id[(i, j)], slot_id[(j, kk)], slot_id[(kk, i)])
-        for i in range(k)
-        for j in range(k)
-        for kk in range(k)
-        if i != j and j != kk and kk != i
-    ]
-
-    # <t, t'> double sum (integer, denominator L^6, coefficient c^6)
-    pair_sum = 0
-    for s1, s2, s3 in triples:
-        r1, r2, r3 = P[s1], P[s2], P[s3]
-        pair_sum += sum(
-            r1[u1] * r2[u2] * r3[u3] for u1, u2, u3 in triples
-        )
-    dd_terms = c**6 * Fraction(pair_sum, L**6)
-
-    # traces: tr(c |w_i><w_j - w_i|) = c (<w_j, w_i> - <w_i, w_i>)
-    # <MM, term> = c^3 <w_j - w_i, w_j> <w_k - w_j, w_k> <w_i - w_k, w_i>
-    id_cross = Fraction(0)
-    mm_cross = Fraction(0)
-    for i in range(k):
-        for j in range(k):
-            for kk in range(k):
-                if i == j or j == kk or kk == i:
-                    continue
-                id_cross += (
-                    (G[j, i] - G[i, i]) * (G[kk, j] - G[j, j]) * (G[i, kk] - G[kk, kk])
-                )
-                mm_cross += (
-                    (G[j, j] - G[i, j]) * (G[kk, kk] - G[j, kk]) * (G[i, i] - G[kk, i])
-                )
-    id_cross *= c**3
-    mm_cross *= c**3
+    L = math.lcm(*(g.denominator for g in frame.gram.flat))
+    Gi = np.array([int(g * L) for g in frame.gram.flat], dtype=object).reshape(k, k)
+    # M's entries are at most 4 max|G|^2, so below 2^20 they fit int64
+    Gi = Gi.astype(np.int64 if abs(Gi).max() < 2**20 else object)
+    G4 = Gi[:, :, None, None]  # axes (i, i', j, j')
+    inner = Gi[None, None] - Gi.T[None, :, :, None] - Gi[:, None, None, :] + G4
+    pair_sum = _trace_cube((G4 * inner).reshape(k * k, k * k))
+    diag = Gi.diagonal()
+    id_cross = Fraction(_trace_cube(Gi.T - diag[:, None]), L**3)
+    mm_cross = Fraction(_trace_cube(diag[None, :] - Gi), L**3)
 
     n3 = Fraction(n**3)
-    dd = n3 + 2 * id_cross + dd_terms  # <D, D>; <1,1>^3 = n^3
-    dmm = Fraction(n) + mm_cross  # <D, MM>; <MM, 1^(x)3> = n
+    dd = n3 + 2 * c**3 * id_cross + c**6 * Fraction(pair_sum, L**6)  # <D, D>; <1,1>^3 = n^3
+    dmm = Fraction(n) + c**3 * mm_cross  # <D, MM>; <MM, 1^(x)3> = n
     return dd - 2 * dmm + n3
 
 
@@ -145,7 +124,13 @@ class InvariantsReport:
     operator_trace: float
     frobenius_sq: float
     inner_with_mm: float
-    factor_ranks: tuple
+    factors: Decomposition = field(repr=False, compare=False)
+
+    @cached_property
+    def factor_ranks(self) -> tuple:
+        """Each term's (rank a, rank b, rank c), computed when first read."""
+        d = self.factors
+        return tuple(zip(*(np.linalg.matrix_rank(X, tol=1e-9).tolist() for X in (d.U, d.V, d.W))))
 
     def lines(self):
         yield f"n                 : {self.n}"
@@ -162,14 +147,11 @@ class InvariantsReport:
 def invariants_report(dec: Decomposition) -> InvariantsReport:
     d = dec.to_float()
     T = tensor_of(d)
-    mm = mm_tensor(dec.n)
-    ranks = (np.linalg.matrix_rank(X, tol=1e-9).tolist() for X in (d.U, d.V, d.W))
-    factor_ranks = tuple(zip(*ranks))
     return InvariantsReport(
         n=dec.n,
         rank=dec.rank,
         operator_trace=float(operator_trace(T)),
         frobenius_sq=float(frobenius_inner(T, T)),
-        inner_with_mm=float(frobenius_inner(T, mm)),
-        factor_ranks=factor_ranks,
+        inner_with_mm=float(frobenius_inner(T, mm_tensor(dec.n))),
+        factors=d,
     )

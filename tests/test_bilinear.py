@@ -21,7 +21,7 @@ from orbitmm.constructions import (
     strassen_theta,
 )
 from orbitmm.frames import simplex_frame
-from orbitmm.tensor import Decomposition
+from orbitmm.tensor import Decomposition, RefusedInput
 
 
 def lattice(n):
@@ -170,6 +170,17 @@ def test_recursive_rejects_bad_input():
         multiply_recursive(dec, np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         multiply_recursive(dec, np.eye(2), np.eye(2), cutoff=0)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_recursive_refuses_complex_input(side, monkeypatch):
+    # the float64 executor would drop the imaginary part: 1j*I @ I read as 0
+    import orbitmm.bilinear as bilinear
+
+    monkeypatch.setattr(bilinear, "_plan", lambda *a: pytest.fail("refusal must come before any work"))
+    A, B = (1j * np.eye(4), np.eye(4)) if side == "A" else (np.eye(4), np.eye(4, dtype=np.complex128))
+    with pytest.raises(RefusedInput, match="complex"):
+        multiply_recursive(orbit_decomposition(orbit_spec_for(2)), A, B, cutoff=1)
 
 
 # (size, cutoff, recursion depth): depths 0 to 3, padded sizes, and sizes at

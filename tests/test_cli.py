@@ -91,6 +91,18 @@ def test_verify_float_json(tmp_path, capsys):
     assert doc["invariants"]["rank"] == 7
 
 
+def test_verify_json_computes_no_factor_ranks(tmp_path, capsys, monkeypatch):
+    # the JSON record has no factor ranks, so nothing may pay for them
+    path = gen_lattice(tmp_path, capsys, 3)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "matrix_rank", lambda *a, **k: pytest.fail("matrix_rank called"))
+        for mode in ("float", "exact-gram"):
+            code, out, _ = run(capsys, "verify", str(path), "--mode", mode, "--json")
+            assert code == 0 and json.loads(out)["valid"] is True
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and "factor rank counts: {(1, 1, 1): 24, (3, 3, 3): 1}" in out
+
+
 def test_verify_invalid_file_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     code, _, _ = run(

@@ -1,11 +1,19 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from orbitmm.constructions import lattice_decomposition, strassen_theta
+from orbitmm.constructions import (
+    lattice_decomposition,
+    orbit_decomposition,
+    orbit_spec_for,
+    s4_family,
+    strassen_theta,
+    strassen_theta_sixths,
+)
 from orbitmm.frames import simplex_frame
 from orbitmm.tensor import Decomposition
 from orbitmm.serialize import (
@@ -41,10 +49,14 @@ def test_roundtrip_float_lossless(tmp_path):
         assert np.array_equal(t1.c, t2.c)
 
 
-def test_roundtrip_rational(tmp_path):
+def _rational_dec():
     q = Fraction
     U = np.array([[[q(1), q(-1, 3)], [q(0), q(5, 7)]], [[q(2), q(0)], [q(-9, 4), q(1)]]], dtype=object)
-    dec = Decomposition(U, U[::-1].copy(), -U, scheme="exact-test", params={"k": 1})
+    return Decomposition(U, U[::-1].copy(), -U, scheme="exact-test", params={"k": 1})
+
+
+def test_roundtrip_rational(tmp_path):
+    dec = _rational_dec()
     path = tmp_path / "q.json"
     save_decomposition(dec, path)
     doc = json.loads(path.read_text())
@@ -93,6 +105,47 @@ def test_dump_stack_matches_per_entry_format(nprng):
     assert _dump_stack(X, False)[0][:2] == ["0", "-0"]
     Q = np.array([Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(5, 7)], dtype=object).reshape(1, 2, 2)
     assert _dump_stack(Q, True) == [["1/3", "-2/1", "0/1", "5/7"]]
+
+
+def _json_doc(dec):
+    """The document a decomposition file holds, as json would encode it."""
+    a, b, c = (_dump_stack(X, dec.exact) for X in (dec.U, dec.V, dec.W))
+    return {
+        "format_version": 1,
+        "n": dec.n,
+        "scheme": dec.scheme,
+        "params": dec.params,
+        "scalar_kind": "rational" if dec.exact else "float64",
+        "terms": [{"a": x, "b": y, "c": z} for x, y, z in zip(a, b, c)],
+    }
+
+
+WRITER_CASES = {
+    **{f"lattice-{n}": (lambda n=n: lattice_decomposition(simplex_frame(n))) for n in range(1, 6)},
+    **{f"orbit-{n}": (lambda n=n: orbit_decomposition(orbit_spec_for(n))) for n in (2, 3, 4)},
+    "strassen-theta-0.3": lambda: strassen_theta(0.3),
+    "strassen-theta-sixths": lambda: strassen_theta_sixths(1),
+    "s4-family": lambda: s4_family("u", 1, 0.4),
+    "rational": _rational_dec,
+    "rank-0": lambda: Decomposition(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), scheme="empty"),
+    "non-finite": lambda: Decomposition(
+        np.array([[[np.inf, -np.inf], [np.nan, -0.0]]]), np.ones((1, 2, 2)), np.ones((1, 2, 2)), scheme="nf"
+    ),
+    "odd-header": lambda: Decomposition(
+        np.ones((1, 1, 1)), np.ones((1, 1, 1)), np.ones((1, 1, 1)),
+        scheme='we"ird \u00fc', params={"list": [1, [2]], "nested": {"x": "y"}, "empty": {}},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRITER_CASES)
+def test_save_decomposition_bytes_equal_json_dumps(tmp_path, name):
+    dec = WRITER_CASES[name]()
+    path = tmp_path / "d.json"
+    save_decomposition(dec, path)
+    assert path.read_text() == json.dumps(_json_doc(dec), indent=1)
+    if name == "rank-0":
+        assert '"terms": []' in path.read_text()
 
 
 def test_nonpositive_n_rejected(tmp_path):
@@ -198,3 +251,64 @@ def test_matrix_rejects_garbage(tmp_path):
     path.write_text("2 2\n1 2\n3\n")
     with pytest.raises(SchemaError):
         load_matrix(path)
+
+
+def test_matrix_header_may_span_lines(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("\n2\n\n 3 1.5\n-2\n\n3 4 5\r\n6\n")
+    assert np.array_equal(load_matrix(path), [[1.5, -2, 3], [4, 5, 6]])
+    path.write_text("2 3 1 2 3 4 5 6")
+    assert np.array_equal(load_matrix(path), [[1, 2, 3], [4, 5, 6]])
+    path.write_text("0 0\n")
+    assert load_matrix(path).shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "malformed matrix file: list index out of range"),
+        ("2", "malformed matrix file: list index out of range"),
+        ("x 2\n1 y", "malformed matrix file: invalid literal for int"),
+        ("1 2\n1 y", "malformed matrix file: could not convert string to float: 'y'"),
+        ("-1 2\n", "negative dimensions -1 x 2"),
+        ("2 2\n1 2\n3\n", "3 values, expected 4"),
+        ("1 2\n1 inf\n", r"non-finite value \(inf\) at entry 1"),
+        ("99999999 99999999\n1\n", "1 values, expected 9999999800000001"),
+    ],
+)
+def test_matrix_refusals_keep_their_messages(tmp_path, text, message):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=message):
+        load_matrix(path)
+
+
+def test_matrix_unreadable_file_refused(tmp_path):
+    with pytest.raises(SchemaError, match="cannot read matrix file"):
+        load_matrix(tmp_path / "missing.txt")
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe 2 2\n")
+    with pytest.raises(SchemaError, match="malformed matrix file"):
+        load_matrix(tmp_path / "binary.txt")
+    with pytest.raises(SchemaError, match="cannot write matrix file"):
+        save_matrix(np.eye(2), tmp_path / "no-such-dir" / "m.txt")
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_matrix_io_streams(tmp_path, nprng):
+    # neither direction holds the text or one str per token: at 512^2 the
+    # whole text is about 5 MB and its tokens about 15 MB
+    m = nprng.standard_normal((512, 512))
+    path = tmp_path / "m.txt"
+    save_peak = _traced_peak(lambda: save_matrix(m, path))
+    assert save_peak <= m[0].nbytes + 64 * 1024
+    load_peak = _traced_peak(lambda: load_matrix(path))
+    assert load_peak <= 3 * m.nbytes + 64 * 1024
+    assert np.array_equal(load_matrix(path), m)
