@@ -55,7 +55,6 @@ from .tensor import (
     mm_tensor,
     operator_trace,
     tensor_of,
-    triple_trace,
 )
 from .verify import invariants_report, verify_exact_gram, verify_float
 

@@ -17,10 +17,10 @@ size).
 multiply_recursive first copies B once into a recursive block layout (index
 digits ordered i0, j0, i1, j1, ..., row, col), in which the n*n sub-blocks
 of every node form one contiguous (n*n, h*h) stack.  A is only read, so the
-top node gathers its A sides from the caller's row-major A in place, one
-column panel at a time (only a padded, non-float64 or non-contiguous A is
-copied once, to row-major float64).  Each node overwrites its B operand with
-the product, writing every C block once: one GEMM of the B-side factors with
+top node gathers its A sides from the caller's A in place, whatever its
+strides, one column panel at a time (only a padded or non-float64 A is
+copied once, to float64).  Each node overwrites its B operand with the
+product, writing every C block once: one GEMM of the B-side factors with
 B's stack forms all rank B-side combinations, after which B's blocks are
 free.  The children's stacks take the last ceil(rank/n^2) of them, and the
 first g = n^2 - ceil(rank/n^2) hold A-side combinations: one GEMM of g
@@ -153,7 +153,7 @@ def _to_blocks(M: np.ndarray, n: int, padded: int, depth: int, leaf: int) -> np.
 
 def _a_panels(A: np.ndarray, n: int, depth: int, leaf: int) -> list[np.ndarray]:
     """The top node's A stack, (n*n, (p/n)^2) in block layout, as column
-    panels that are views of the padded row-major A: each a slice of one
+    panels that are views of the padded A: each a slice of one
     digit axis, whole in every later axis, of at most PANEL and at most
     (p/n)^2/n^2 columns, so the buffer that gathers a panel never holds
     more than (p/n)^2 entries.  When a leaf has fewer entries than that
@@ -228,7 +228,7 @@ def _node(X, Y, S, level, depth, leaf, code, spill) -> int:
     """Y := X Y, Y flat in block layout and the flat S scratch.  X is only
     read: flat in block layout too, except at the top node of a product
     that splits (level 0 < depth), where it is the column panels of its
-    stack in the caller's row-major matrix (see _a_panels).  Returns the
+    stack in the caller's matrix (see _a_panels).  Returns the
     number of leaf products made."""
     if level == depth:
         T = S[: leaf * leaf]
@@ -267,7 +267,7 @@ def multiply_recursive(
     t0 = time.perf_counter()
     # A is only read: the caller's own matrix unless it must be padded or
     # converted, and the top node gathers its A sides from it in place
-    A = np.ascontiguousarray(_pad(A, padded), dtype=np.float64)
+    A = np.asarray(_pad(A, padded), dtype=np.float64)
     X = _a_panels(A, n, depth, leaf) if depth else A
     Y = _to_blocks(B, n, padded, depth, leaf)
     # a child's stack fits in its parent's n*n - 1 free blocks unless
@@ -303,17 +303,6 @@ class BenchRow:
     count_at_cutoff_1: int
     exponent_estimate: float
     max_error: float
-
-    def to_record(self) -> dict:
-        return {
-            "size": self.size,
-            "recursive_time": self.recursive_time,
-            "naive_time": self.naive_time,
-            "scalar_multiplications": self.scalar_multiplications,
-            "count_at_cutoff_1": self.count_at_cutoff_1,
-            "exponent_estimate": self.exponent_estimate,
-            "max_error": self.max_error,
-        }
 
 
 def benchmark(

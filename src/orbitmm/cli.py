@@ -9,6 +9,7 @@ other exception is a fault of the program and propagates.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -200,11 +201,11 @@ def _bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise UsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
-    if min(sizes) < 1:
-        raise UsageError("--sizes entries must be >= 1")
+    if min(sizes) < 2:  # the exponent estimate is log(count)/log(size)
+        raise UsageError("--sizes entries must be >= 2")
     rows = benchmark(dec, sizes, cutoff=args.cutoff)
     if args.json:
-        print(json.dumps([r.to_record() for r in rows]))
+        print(json.dumps([dataclasses.asdict(r) for r in rows]))
     else:
         print(format_bench_table(rows))
     return 0

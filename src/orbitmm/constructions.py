@@ -139,7 +139,6 @@ def lattice_decomposition(frame: Frame) -> Decomposition:
     indices, c|w_i><w_j - w_i| (x) c|w_j><w_k - w_j| (x) c|w_k><w_i - w_k|
     with c = n/(n+1) (the global c^3 split one factor per slot).
     """
-    frame.require_simplex()
     n = frame.n
     w = frame.vectors
     c = n / (n + 1)
@@ -272,8 +271,15 @@ class S5Fixture:
 
 
 def s5_fixture() -> S5Fixture:
-    frame = fixture_frame("s5-pair-5")
-    w1, w2 = frame.vectors
-    return S5Fixture(
-        sigma=frame.sigma, w1=w1, w2=w2, u=w1.copy(), v=5.0 / 6.0 * (w2 - w1)
+    sigma = np.array(
+        [
+            [1, 0, 0, 0, 0],
+            [0, -0.5, 0, SQ3 / 2, 0],
+            [0, 0, -0.5, 0, SQ3 / 2],
+            [0, -SQ3 / 2, 0, -0.5, 0],
+            [0, 0, -SQ3 / 2, 0, -0.5],
+        ]
     )
+    w1 = np.array([1.0, SQ2, 0.0, 0.0, SQ2]) / math.sqrt(5)
+    w2 = sigma @ w1
+    return S5Fixture(sigma=sigma, w1=w1, w2=w2, u=w1.copy(), v=5.0 / 6.0 * (w2 - w1))

@@ -4,7 +4,8 @@ A simplex frame satisfies <w_i, w_j> = -1/n for i != j, sum_i w_i = 0, and the
 tight-frame identity (n/(n+1)) sum_i |w_i><w_i| = 1.  Coordinates are float64
 (they involve square roots); the Gram matrix is carried exactly as Fractions,
 and every exactness claim in the package routes through the Gram, never
-through coordinates.
+through coordinates.  Every Frame is a simplex frame; the n = 5 S5 data of
+the source is a seed pair, not a frame, and lives in constructions.s5_fixture.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tensor import RefusedInput, exact_matrix
+from .tensor import RefusedInput
 
 __all__ = [
     "Frame",
@@ -32,27 +33,17 @@ SQ2, SQ3, SQ5 = math.sqrt(2), math.sqrt(3), math.sqrt(5)
 
 @dataclass(frozen=True)
 class Frame:
-    """A set of unit vectors with exact rational Gram data.
-
-    kind "simplex": n+1 vectors, Gram diag 1 / off-diag -1/n.
-    kind "pair": the two explicit S5 vectors w1, w2 = sigma w1 plus sigma
-    itself; not a simplex frame, and rejected by simplex-only operations.
-    """
+    """A simplex frame: n+1 unit vectors in R^n with their exact rational
+    Gram matrix (diagonal 1, off-diagonal -1/n)."""
 
     n: int
-    vectors: np.ndarray  # shape (k, n), float64, rows are the w_i
-    gram: np.ndarray  # shape (k, k), object dtype of Fractions
+    vectors: np.ndarray  # shape (n+1, n), float64, rows are the w_i
+    gram: np.ndarray  # shape (n+1, n+1), object dtype of Fractions
     label: str = "generic"
-    kind: str = "simplex"
-    sigma: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return self.vectors.shape[0]
-
-    def require_simplex(self):
-        if self.kind != "simplex":
-            raise RefusedInput(f"frame {self.label!r} is not a simplex frame")
 
 
 def _simplex_gram(n: int) -> np.ndarray:
@@ -108,35 +99,11 @@ _FIXTURES = {
     ],
 }
 
-FIXTURE_NAMES = ("triangle-2", "tetrahedron-3", "simplex-4", "s5-pair-5")
-
-_S5_SIGMA = np.array(
-    [
-        [1, 0, 0, 0, 0],
-        [0, -0.5, 0, SQ3 / 2, 0],
-        [0, 0, -0.5, 0, SQ3 / 2],
-        [0, -SQ3 / 2, 0, -0.5, 0],
-        [0, 0, -SQ3 / 2, 0, -0.5],
-    ]
-)
-
-_S5_W1 = np.array([1.0, SQ2, 0.0, 0.0, SQ2]) / SQ5
+FIXTURE_NAMES = tuple(_FIXTURES)
 
 
 def fixture_frame(name: str) -> Frame:
-    """Explicit coordinate fixtures for n = 2, 3, 4, plus the S5 pair for n = 5."""
-    if name == "s5-pair-5":
-        w1 = _S5_W1
-        w2 = _S5_SIGMA @ w1
-        gram = exact_matrix([[1, Fraction(-1, 5)], [Fraction(-1, 5), 1]])
-        return Frame(
-            n=5,
-            vectors=np.vstack([w1, w2]),
-            gram=gram,
-            label=name,
-            kind="pair",
-            sigma=_S5_SIGMA,
-        )
+    """Explicit coordinate fixtures for n = 2, 3, 4."""
     if name not in _FIXTURES:
         raise RefusedInput(f"unknown fixture {name!r}; known: {FIXTURE_NAMES}")
     vecs = np.array(_FIXTURES[name])
@@ -162,7 +129,6 @@ class TightReport:
 
 def check_tight(frame: Frame) -> TightReport:
     """Measure the two tight-frame identities, float and exact (via Gram rows)."""
-    frame.require_simplex()
     n = frame.n
     w = frame.vectors
     sum_dev = float(np.abs(w.sum(axis=0)).max())
@@ -179,7 +145,6 @@ def lift_permutation(frame: Frame, perm) -> np.ndarray:
     Uses the closed form rho = (n/(n+1)) sum_i |w_{perm(i)}><w_i| that follows
     from the tight-frame identity; perm is a 0-based tuple of images.
     """
-    frame.require_simplex()
     k = frame.size
     if sorted(perm) != list(range(k)):
         raise ValueError("perm must be a bijection on frame indices")

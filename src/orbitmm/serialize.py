@@ -107,7 +107,7 @@ def _load_stack(rows: list, n: int, exact: bool) -> np.ndarray:
 def load_decomposition(path) -> Decomposition:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise SchemaError(f"cannot read decomposition file: {e}") from e
     try:
         if doc["format_version"] != FORMAT_VERSION:

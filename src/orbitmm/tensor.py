@@ -46,10 +46,8 @@ __all__ = [
     "Decomposition",
     "MAX_DENSE_BYTES",
     "exact_matrix",
-    "exact_identity",
     "is_exact",
     "mm_tensor",
-    "triple_trace",
     "rank1_tensor",
     "tensor_of",
     "frobenius_inner",
@@ -59,8 +57,8 @@ __all__ = [
 
 class RefusedInput(ValueError):
     """A documented refusal of an input the package does not handle (a dense
-    tensor above MAX_DENSE_BYTES, a plan that cannot split, an unknown or
-    non-simplex fixture frame), raised before any work is done."""
+    tensor above MAX_DENSE_BYTES, a plan that cannot split, an unknown
+    fixture frame), raised before any work is done."""
 
 
 # Largest dense n^6 tensor built here: 1 GiB of float64 entries, so n <= 22.
@@ -78,13 +76,6 @@ def exact_matrix(rows) -> np.ndarray:
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
             out[i, j] = Fraction(x)
-    return out
-
-
-def exact_identity(n: int) -> np.ndarray:
-    out = np.full((n, n), Fraction(0), dtype=object)
-    for i in range(n):
-        out[i, i] = Fraction(1)
     return out
 
 
@@ -165,13 +156,6 @@ def mm_tensor(n: int, exact: bool = False) -> np.ndarray:
     return T
 
 
-def triple_trace(A: np.ndarray, B: np.ndarray, C: np.ndarray):
-    """tr(ABC), the pairing of MM with A (x) B (x) C."""
-    if not (A.shape == B.shape == C.shape) or A.shape[0] != A.shape[1]:
-        raise ValueError("triple_trace needs three square matrices of equal size")
-    return np.trace(np.dot(np.dot(A, B), C))
-
-
 def rank1_tensor(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Dense tensor of a single separable term: T[a,b,c,d,e,f] = a[a,d] b[b,e] c[c,f]."""
     _require_dense_size(a.shape[0])
@@ -180,19 +164,12 @@ def rank1_tensor(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return t.transpose(0, 2, 4, 1, 3, 5)
 
 
-def tensor_of(dec: Decomposition, include_identity: bool = True) -> np.ndarray:
-    """Materialize the dense sum of a decomposition's separable terms.
-
-    With include_identity=False, a leading identity term 1 (x) 1 (x) 1 is
-    skipped, leaving only the orbit/lattice part of the sum.
-    """
+def tensor_of(dec: Decomposition) -> np.ndarray:
+    """Materialize the dense sum of a decomposition's separable terms."""
     n = dec.n
     _require_dense_size(n)
     n2 = n * n
     U, V, W = (X.reshape(-1, n2) for X in (dec.U, dec.V, dec.W))
-    eye = np.eye(n).reshape(-1)
-    if not include_identity and dec.rank and all(np.array_equal(X[0], eye) for X in (U, V, W)):
-        U, V, W = U[1:], V[1:], W[1:]
     # T = W^T KR, the transpose of KR^T W: rows (c, f), columns (a, d, b, e)
     if dec.exact:
         T = np.full((n2, n2 * n2), Fraction(0), dtype=object)

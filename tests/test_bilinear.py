@@ -250,27 +250,26 @@ def test_recursive_result_owns_its_data(size, nprng):
     ("orbit2", 100, 8), ("lattice3", 3, 1), ("lattice3", 10, 3),
 ])
 def test_recursive_leaves_inputs_unchanged(name, size, cutoff, nprng):
-    # the top node reads a float64, C-contiguous, unpadded A in place; a
-    # transposed view, a strided slice and an int64 matrix are converted
+    # the top node reads an unpadded float64 A in place, whatever its
+    # strides (a transposed view, a strided slice); an int64 or object
+    # matrix is converted, since the gather cannot cast objects to float64
     dec = EXECUTOR_DECS[name]()
     A, B = nprng.standard_normal((2, size, size))
     wide = nprng.standard_normal((2 * size, 3 * size))
-    for A in (A, A.T, wide[::2, 1::3], nprng.integers(-9, 10, (size, size))):
+    ints = nprng.integers(-9, 10, (size, size))
+    for A in (A, A.T, wide[::2, 1::3], ints, ints.astype(object)):
         A0, B0 = A.copy(), B.copy()
         rep = multiply_recursive(dec, A, B, cutoff=cutoff)
         assert np.array_equal(A, A0) and np.array_equal(B, B0)
         assert np.abs(rep.result - A0 @ B0).max() <= 1e-12 * float(np.abs(A0 @ B0).max())
 
 
-@pytest.mark.parametrize("name,size,cutoff", [("orbit2", 512, 64), ("lattice3", 243, 27), ("lattice3", 729, 27)])
-def test_recursive_peak_memory(name, size, cutoff, nprng):
-    # the block-layout copy of B, the top node's stack of rank (p/n)^2
-    # entries and the buffer that gathers the top node's A sides from the
-    # caller's A, n^2 rows of at most PANEL and (p/n)^2/n^2 entries; every
-    # child's stack lives in its parent's free blocks.  A copy of A would
-    # exceed this bound at every size here.
-    dec = EXECUTOR_DECS[name]()
-    A, B = nprng.standard_normal((2, size, size))
+def _peak_within_law(dec, A, B, cutoff):
+    """Run one product under tracemalloc and check its peak against the
+    law: the block-layout copy of B, the top node's stack of rank (p/n)^2
+    entries and the buffer that gathers the top node's A sides from the
+    caller's A, n^2 rows of at most PANEL and (p/n)^2/n^2 entries; every
+    child's stack lives in its parent's free blocks."""
     multiply_recursive(dec, A, B, cutoff=cutoff)  # warm up numpy's caches
     tracemalloc.start()
     try:
@@ -279,8 +278,22 @@ def test_recursive_peak_memory(name, size, cutoff, nprng):
     finally:
         tracemalloc.stop()
     assert rep.recursion_depth >= 2
+    size = A.shape[0]
     block = (size // dec.n) ** 2
     assert peak <= 8 * (size**2 + dec.rank * block + min(dec.n**2 * PANEL, block)) + 64 * 1024
+
+
+@pytest.mark.parametrize("name,size,cutoff", [("orbit2", 512, 64), ("lattice3", 243, 27), ("lattice3", 729, 27)])
+def test_recursive_peak_memory(name, size, cutoff, nprng):
+    # a copy of A would exceed the law at every size here
+    A, B = nprng.standard_normal((2, size, size))
+    _peak_within_law(EXECUTOR_DECS[name](), A, B, cutoff)
+
+
+def test_recursive_peak_memory_transposed_a(nprng):
+    # a transposed A is gathered in place too, not copied to row-major first
+    A, B = nprng.standard_normal((2, 512, 512))
+    _peak_within_law(EXECUTOR_DECS["orbit2"](), A.T, B, 64)
 
 
 def test_recursive_rank_above_free_blocks(nprng):

@@ -91,6 +91,30 @@ def test_verify_float_json(tmp_path, capsys):
     assert doc["invariants"]["rank"] == 7
 
 
+INVARIANT_KEYS = ["n", "rank", "operator_trace", "frobenius_sq", "inner_with_mm"]
+
+
+def test_verify_json_schema(tmp_path, capsys):
+    path = gen_lattice(tmp_path, capsys, 3)
+    _, out, _ = run(capsys, "verify", str(path), "--json")
+    doc = json.loads(out)
+    assert list(doc) == ["mode", "residual", "valid", "invariants"] and doc["mode"] == "float"
+    assert list(doc["invariants"]) == INVARIANT_KEYS
+    _, out, _ = run(capsys, "verify", str(path), "--mode", "exact-gram", "--json")
+    doc = json.loads(out)
+    assert list(doc) == ["mode", "residual", "file_deviation", "valid", "invariants"]
+    assert doc["mode"] == "exact-gram" and doc["residual"] == "0"
+    assert list(doc["invariants"]) == INVARIANT_KEYS
+
+
+def test_verify_text_prints_each_invariant_once(tmp_path, capsys):
+    path = gen_lattice(tmp_path, capsys, 3)
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert out.count("operator trace") == 1 and out.count("<D, D>") == 1
+    assert "max residual" in out
+
+
 def test_verify_json_computes_no_factor_ranks(tmp_path, capsys, monkeypatch):
     # the JSON record has no factor ranks, so nothing may pay for them
     path = gen_lattice(tmp_path, capsys, 3)
@@ -125,6 +149,23 @@ def test_verify_exact_gram_rejects_nonlattice(tmp_path, capsys):
     run(capsys, "gen", "--n", "2", "--scheme", "orbit", "-o", str(path))
     code, _, err = run(capsys, "verify", str(path), "--mode", "exact-gram")
     assert code == 2
+
+
+def test_verify_exact_gram_unknown_frame_label_exits_2(tmp_path, capsys):
+    # the n=5 S5 seed pair is not a frame, so a lattice labelled with it is refused
+    path = gen_lattice(tmp_path, capsys, 5)
+    doc = json.loads(path.read_text())
+    doc["params"]["frame"] = "s5-pair-5"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path), "--mode", "exact-gram")
+    assert code == 2 and "'s5-pair-5'" in err and out == ""
+
+
+def test_verify_undecodable_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and "cannot read decomposition file" in err and out == ""
 
 
 def test_verify_truncated_file_exits_2(tmp_path, capsys):
@@ -308,9 +349,16 @@ def test_bench_json(tmp_path, capsys):
     rows = json.loads(out)
     assert [r["size"] for r in rows] == [4, 8]
     assert rows[1]["count_at_cutoff_1"] == 7**3
+    assert all(
+        list(r) == [
+            "size", "recursive_time", "naive_time", "scalar_multiplications",
+            "count_at_cutoff_1", "exponent_estimate", "max_error",
+        ]
+        for r in rows
+    )
 
 
-@pytest.mark.parametrize("sizes", ["a", "4,", "0", "4,-3"])
+@pytest.mark.parametrize("sizes", ["a", "4,", "0", "1", "4,-3"])
 def test_bench_bad_sizes_exit_2(tmp_path, capsys, sizes):
     dec = gen_lattice(tmp_path, capsys)
     code, out, err = run(capsys, "bench", str(dec), "--sizes", sizes)

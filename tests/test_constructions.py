@@ -22,7 +22,7 @@ from orbitmm.constructions import (
     strassen_theta_spec,
     symmetric_group,
 )
-from orbitmm.frames import fixture_frame, lift_permutation, simplex_frame
+from orbitmm.frames import lift_permutation, simplex_frame
 from orbitmm.tensor import tensor_of
 from orbitmm.verify import verify_float
 
@@ -36,11 +36,6 @@ PI_12_RESIDUAL = 0.28867513459481386
 )
 def test_lattice_rank(n, expected):
     assert lattice_decomposition(simplex_frame(n)).rank == expected
-
-
-def test_lattice_rejects_pair_frame():
-    with pytest.raises(ValueError):
-        lattice_decomposition(fixture_frame("s5-pair-5"))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -179,6 +174,15 @@ def test_s5_fixture_values():
     )
     assert np.abs(fx.v - expected_v).max() < 1e-12
     assert abs(fx.v @ fx.u + 1.0) < 1e-12
+
+
+def test_s5_fixture_seed_pair():
+    fx = s5_fixture()
+    assert np.allclose(fx.w2, fx.sigma @ fx.w1)
+    expected_w2 = np.array([math.sqrt(2), -1.0, math.sqrt(3), -math.sqrt(3), -1.0]) / math.sqrt(10)
+    assert np.abs(fx.w2 - expected_w2).max() < 1e-12
+    assert abs(fx.w1 @ fx.w2 + 1 / 5) < 1e-12
+    assert np.array_equal(fx.u, fx.w1)
 
 
 def test_term_enumeration_is_reproducible():

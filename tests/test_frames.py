@@ -15,6 +15,7 @@ from orbitmm.frames import (
     lift_permutation,
     simplex_frame,
 )
+from orbitmm.tensor import RefusedInput
 
 SQ3 = math.sqrt(3)
 
@@ -60,28 +61,13 @@ def test_simplex4_fixture():
     assert np.abs(g - (1.25 * np.eye(5) - 0.25)).max() < 1e-12
 
 
-def test_s5_pair_fixture():
-    f = fixture_frame("s5-pair-5")
-    assert f.kind == "pair"
-    w1, w2 = f.vectors
-    assert np.allclose(w2, f.sigma @ w1)
-    expected_w2 = np.array([math.sqrt(2), -1.0, SQ3, -SQ3, -1.0]) / math.sqrt(10)
-    assert np.abs(w2 - expected_w2).max() < 1e-12
-    assert f.gram[0, 1] == Fraction(-1, 5)
-
-
-def test_s5_pair_rejected_by_simplex_ops():
-    f = fixture_frame("s5-pair-5")
-    with pytest.raises(ValueError):
-        check_tight(f)
-    with pytest.raises(ValueError):
-        lift_permutation(f, (1, 0))
-
-
 def test_unknown_fixture():
     with pytest.raises(ValueError):
         fixture_frame("hexagon-7")
-    assert set(FIXTURE_NAMES) >= {"triangle-2", "tetrahedron-3", "simplex-4", "s5-pair-5"}
+    # every frame is a simplex frame: the n=5 S5 data is a seed pair, not a frame
+    with pytest.raises(RefusedInput, match="unknown fixture"):
+        fixture_frame("s5-pair-5")
+    assert FIXTURE_NAMES == ("triangle-2", "tetrahedron-3", "simplex-4")
 
 
 @pytest.mark.parametrize("n", [2, 6])

@@ -12,14 +12,13 @@ from orbitmm.tensor import (
     MAX_DENSE_BYTES,
     Decomposition,
     Rank1Term,
-    exact_identity,
     exact_matrix,
     frobenius_inner,
+    is_exact,
     mm_tensor,
     operator_trace,
     rank1_tensor,
     tensor_of,
-    triple_trace,
 )
 
 from conftest import random_exact_matrix
@@ -56,31 +55,32 @@ def test_mm_invariants_exact(n):
     assert sum(1 for idx in product(range(n), repeat=6) if T[idx] != 0) == n**3
 
 
+def _pairing(A, B, C):
+    """<MM, A (x) B (x) C> through the dense tensors."""
+    return frobenius_inner(mm_tensor(len(A), exact=is_exact(A)), rank1_tensor(A, B, C))
+
+
 def test_triple_trace_identity():
     eye = np.eye(2)
-    assert triple_trace(eye, eye, eye) == pytest.approx(2.0)
+    assert _pairing(eye, eye, eye) == pytest.approx(2.0)
 
 
 def test_triple_trace_pi_pi_one():
     pi = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert triple_trace(pi, pi, np.eye(2)) == pytest.approx(-2.0)
+    assert _pairing(pi, pi, np.eye(2)) == pytest.approx(-2.0)
 
 
 def test_triple_trace_beta_x_cubed():
     bx = np.diag([1.0, -0.5, -0.5])
-    assert triple_trace(bx, bx, bx) == pytest.approx(0.75)
-
-
-def test_triple_trace_dimension_mismatch():
-    with pytest.raises(ValueError):
-        triple_trace(np.eye(2), np.eye(3), np.eye(3))
+    assert _pairing(bx, bx, bx) == pytest.approx(0.75)
 
 
 def test_triple_trace_cyclic_exact(rng):
+    # MM is invariant under the cyclic shift of its three slots
     for _ in range(30):
         n = rng.randint(1, 4)
         A, B, C = (random_exact_matrix(rng, n) for _ in range(3))
-        assert triple_trace(A, B, C) == triple_trace(B, C, A)
+        assert _pairing(A, B, C) == _pairing(B, C, A)
 
 
 def test_pairing_matches_triple_trace_exact(rng):
@@ -88,8 +88,7 @@ def test_pairing_matches_triple_trace_exact(rng):
     for _ in range(100):
         n = rng.randint(1, 3)
         A, B, C = (random_exact_matrix(rng, n) for _ in range(3))
-        lhs = frobenius_inner(mm_tensor(n, exact=True), rank1_tensor(A, B, C))
-        assert lhs == triple_trace(A, B, C)
+        assert _pairing(A, B, C) == np.trace(A.dot(B).dot(C))
 
 
 def _exact_stack(rng, n, rank):
@@ -113,15 +112,6 @@ def test_tensor_of_identity_term():
         assert T[idx] == expected
 
 
-def test_tensor_of_skip_identity():
-    eye = np.eye(2)
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    X = np.stack([eye, m])
-    dec = Decomposition(X, X, X)
-    partial = tensor_of(dec, include_identity=False)
-    assert np.allclose(partial, rank1_tensor(m, m, m))
-
-
 def test_tensor_of_linearity(rng):
     U, V, W = (_exact_stack(rng, 2, 4) for _ in range(3))
     whole = tensor_of(Decomposition(U, V, W))
@@ -129,18 +119,14 @@ def test_tensor_of_linearity(rng):
     assert np.array_equal(whole, parts)
 
 
-def _reference_tensor_of(dec, include_identity=True):
+def _reference_tensor_of(dec):
     """The per-term sum tensor_of replaced: one dense rank-1 tensor per term."""
     n = dec.n
     if dec.exact:
         T = np.full((n,) * 6, Fraction(0), dtype=object)
     else:
         T = np.zeros((n,) * 6)
-    terms = dec.terms
-    eye = exact_identity(n) if dec.exact else np.eye(n)
-    if not include_identity and terms and all(np.array_equal(m, eye) for m in (terms[0].a, terms[0].b, terms[0].c)):
-        terms = terms[1:]
-    for t in terms:
+    for t in dec.terms:
         T = T + rank1_tensor(t.a, t.b, t.c)
     return T
 
@@ -161,8 +147,12 @@ def _random_exact_dec(rng, n, rank):
 )
 @pytest.mark.parametrize("include_identity", [True, False])
 def test_tensor_of_matches_reference_float(dec, include_identity):
-    got = tensor_of(dec, include_identity=include_identity)
-    want = _reference_tensor_of(dec, include_identity=include_identity)
+    # without its leading identity term the rank drops by one, which moves
+    # the chunk boundaries of n^2 terms
+    if not include_identity:
+        dec = Decomposition(dec.U[1:], dec.V[1:], dec.W[1:])
+    got = tensor_of(dec)
+    want = _reference_tensor_of(dec)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
 
@@ -173,16 +163,6 @@ def test_tensor_of_matches_reference_exact(rng, n, rank):
     got = tensor_of(dec)
     assert got.dtype == object
     assert np.array_equal(got, _reference_tensor_of(dec))
-
-
-def test_tensor_of_exact_skip_identity(rng):
-    eye = exact_identity(2)[None]
-    rest = _random_exact_dec(rng, 2, 5)
-    dec = Decomposition(*(np.concatenate([eye, X]) for X in (rest.U, rest.V, rest.W)))
-    got = tensor_of(dec, include_identity=False)
-    assert np.array_equal(got, _reference_tensor_of(dec, include_identity=False))
-    only = tensor_of(Decomposition(eye, eye, eye), include_identity=False)
-    assert only.dtype == object and all(x == 0 and isinstance(x, Fraction) for x in only.flat)
 
 
 def test_tensor_of_lattice12():
@@ -225,7 +205,7 @@ def test_frobenius_inner_mismatch():
 
 
 def test_operator_trace_identity_cube():
-    eye3 = exact_identity(3)[None]
+    eye3 = exact_matrix(np.eye(3, dtype=int).tolist())[None]
     T = tensor_of(Decomposition(eye3, eye3, eye3))
     assert operator_trace(T) == 27
 
@@ -240,7 +220,7 @@ def test_decomposition_rejects_mismatched_term():
 
 
 def test_decomposition_rejects_mixed_scalar_kinds():
-    exact, flt = exact_identity(2)[None], np.eye(2)[None]
+    exact, flt = exact_matrix([[1, 0], [0, 1]])[None], np.eye(2)[None]
     with pytest.raises(ValueError, match="mixes"):
         Decomposition(exact, flt, exact)
     with pytest.raises(ValueError, match="mixes"):

@@ -34,7 +34,6 @@ def perturbed_frame(n, i, j, delta):
 def _reference_exact_gram(frame):
     """verify_exact_gram as a direct double loop over the lattice terms'
     slot inner products: the definition the traces of cubes must match."""
-    frame.require_simplex()
     n = frame.n
     k = frame.size
     G = frame.gram
@@ -88,11 +87,13 @@ def _reference_exact_gram(frame):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_verify_float_lattice(n):
-    rep = verify_float(lattice_decomposition(simplex_frame(n)))
+    dec = lattice_decomposition(simplex_frame(n))
+    rep = verify_float(dec)
     assert rep.valid
     assert rep.max_residual < 1e-12
-    assert abs(rep.operator_trace - n) < 1e-9
-    assert abs(rep.frobenius_sq - n**3) < 1e-8
+    inv = invariants_report(dec)
+    assert abs(inv.operator_trace - n) < 1e-9
+    assert abs(inv.frobenius_sq - n**3) < 1e-8
 
 
 def test_verify_float_reports_failure():
@@ -148,7 +149,7 @@ def test_exact_gram_nonzero_under_perturbation(num, den):
 
 REFERENCE_FRAMES = (
     [simplex_frame(n) for n in range(2, 8)]
-    + [fixture_frame(name) for name in FIXTURE_NAMES if name != "s5-pair-5"]
+    + [fixture_frame(name) for name in FIXTURE_NAMES]
     + [
         perturbed_gram_frame(),
         perturbed_frame(4, 2, 3, Fraction(1, 7)),
@@ -197,13 +198,6 @@ def test_exact_gram_n16_is_fast():
     t0 = time.process_time()
     assert verify_exact_gram(simplex_frame(16)) == 0
     assert time.process_time() - t0 < 1.0
-
-
-def test_exact_gram_rejects_pair_frame():
-    from orbitmm.frames import fixture_frame
-
-    with pytest.raises(ValueError):
-        verify_exact_gram(fixture_frame("s5-pair-5"))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
