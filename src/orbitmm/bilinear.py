@@ -312,8 +312,11 @@ def benchmark(
 
     Reports the executed multiplication count at the given cutoff, the exact
     count the recursion would use at cutoff 1, and the exponent estimate
-    log_size(count at cutoff 1); the estimate is count-based, not time-based.
+    log_size(count at cutoff 1); the estimate is count-based, not time-based,
+    and needs every size >= 2.
     """
+    if any(size < 2 for size in sizes):
+        raise RefusedInput(f"benchmark sizes must be >= 2, got {sizes}")
     rng = rng or np.random.default_rng(0)
     rows = []
     for size in sizes:

@@ -19,14 +19,13 @@ import numpy as np
 from . import constraints, fourier2
 from .bilinear import benchmark, format_bench_table, multiply_recursive
 from .constructions import (
+    OrbitSpec,
     lattice_decomposition,
     orbit_decomposition,
     orbit_spec_for,
     s4_family,
     s4_family_spec,
     s5_fixture,
-    strassen_theta,
-    strassen_theta_sixths,
     strassen_theta_sixths_spec,
     strassen_theta_spec,
 )
@@ -61,6 +60,14 @@ def _theta_from_args(args) -> float:
     return args.theta if args.theta is not None else 0.0
 
 
+def _strassen_spec(args) -> OrbitSpec:
+    """The theta seed that `gen --scheme strassen-theta` writes and `analyze
+    strassen` reads: exact trig values for --theta-sixths alone."""
+    if args.theta_sixths is not None and args.theta is None:
+        return strassen_theta_sixths_spec(args.theta_sixths)
+    return strassen_theta_spec(_theta_from_args(args))
+
+
 def _gen(args) -> int:
     n, scheme = args.n, args.scheme
     if scheme == "lattice":
@@ -68,16 +75,11 @@ def _gen(args) -> int:
             raise UsageError("lattice requires n >= 1")
         dec = lattice_decomposition(simplex_frame(n))
     elif scheme == "orbit":
-        if n not in (2, 3, 4):
-            raise UsageError("orbit scheme requires n in {2, 3, 4}")
         dec = orbit_decomposition(orbit_spec_for(n))
     elif scheme == "strassen-theta":
         if n != 2:
             raise UsageError("strassen-theta requires n = 2")
-        if args.theta_sixths is not None and args.theta is None:
-            dec = strassen_theta_sixths(args.theta_sixths)
-        else:
-            dec = strassen_theta(_theta_from_args(args))
+        dec = orbit_decomposition(_strassen_spec(args))
     elif scheme == "s4-family":
         if n != 3:
             raise UsageError("s4-family requires n = 3")
@@ -98,9 +100,11 @@ def _verify(args) -> int:
         if dec.scheme != "lattice":
             raise UsageError("exact-gram mode applies to lattice decompositions only")
         label = dec.params.get("frame", f"generic-{dec.n}")
-        frame = (
-            simplex_frame(dec.n) if label.startswith("generic") else fixture_frame(label)
-        )
+        if not isinstance(label, str):
+            raise UsageError(f"frame label {label!r} is not a string")
+        frame = simplex_frame(dec.n) if label == f"generic-{dec.n}" else fixture_frame(label)
+        if frame.n != dec.n:
+            raise UsageError(f"frame {label!r} has n={frame.n}, but the file has n={dec.n}")
         residual = verify_exact_gram(frame)
         # tie the certificate to the file: the file's terms must match the frame
         regen = lattice_decomposition(frame)
@@ -155,10 +159,7 @@ def _analyze(args) -> int:
         u, v, sigma = fx.u, fx.v, fx.sigma
     else:
         if target == "strassen":
-            if args.theta_sixths is not None and args.theta is None:
-                spec = strassen_theta_sixths_spec(args.theta_sixths)
-            else:
-                spec = strassen_theta_spec(_theta_from_args(args))
+            spec = _strassen_spec(args)
             _print_fourier_table(orbit_decomposition(spec))
             res = fourier2.strassen_equations(np.outer(spec.u, spec.v))
             print("constraint residuals:", ", ".join(f"{r:.3e}" for r in res))

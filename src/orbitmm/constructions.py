@@ -9,13 +9,13 @@ and index triples), so term lists are reproducible byte-for-byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations, product
 
 import numpy as np
 
 from .frames import Frame, fixture_frame, lift_permutation
-from .tensor import Decomposition
+from .tensor import Decomposition, RefusedInput
 
 __all__ = [
     "OrbitSpec",
@@ -68,16 +68,29 @@ def compose(p, q) -> tuple:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
+SQ2, SQ3 = math.sqrt(2), math.sqrt(3)
+
+# The standard orbit, for n = 2, 3, 4 only: its fixture frame, its group of
+# order n^3 - n acting 3-transitively on the n+1 frame indices, and the
+# scales (alpha, beta) of its seed vectors (see standard_uv).
+_STANDARD_ORBITS = {
+    2: ("triangle-2", symmetric_group(3), (1.0, 2.0 / 3.0)),
+    3: ("tetrahedron-3", symmetric_group(4), (3.0 / (2.0 * SQ2), 1.0 / SQ2)),
+    4: ("simplex-4", alternating_group(5), (math.sqrt(6.0 / 5.0), 2.0 * math.sqrt(2.0 / 15.0))),
+}
+
+
+def _standard_orbit(n: int) -> tuple:
+    if n not in _STANDARD_ORBITS:
+        raise RefusedInput(f"the standard orbit exists for n in {tuple(_STANDARD_ORBITS)}, not for n={n}")
+    return _STANDARD_ORBITS[n]
+
+
 def standard_group(n: int) -> tuple:
     """The size n^3 - n permutation group acting 3-transitively on n+1 frame
     indices: S3, S4, A5 for n = 2, 3, 4."""
-    if n == 2:
-        return symmetric_group(3)
-    if n == 3:
-        return symmetric_group(4)
-    if n == 4:
-        return alternating_group(5)
-    raise ValueError(f"no standard orbit group for n={n}")
+    _, group, _ = _standard_orbit(n)
+    return group
 
 
 def standard_sigma_perm(k: int) -> tuple:
@@ -89,13 +102,16 @@ def standard_sigma_perm(k: int) -> tuple:
 class OrbitSpec:
     """Data for one group-orbit decomposition: a frame, a permutation group of
     its indices with |G| = n^3 - n, the order-3 cycle defining the slot orbit,
-    and the seed vectors u, v of the rank-1 matrix m = |u><v|."""
+    the seed vectors u, v of the rank-1 matrix m = |u><v|, and the scheme
+    and parameters that the decomposition records beside the frame label."""
 
     frame: Frame
     group: tuple
     sigma_perm: tuple
     u: np.ndarray
     v: np.ndarray
+    scheme: str = "orbit"
+    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.frame.n
@@ -109,20 +125,9 @@ class OrbitSpec:
 def standard_uv(frame: Frame) -> tuple[np.ndarray, np.ndarray]:
     """Seed vectors for the standard orbit solutions, in frame coordinates:
     u = alpha w1 and v = beta (w2 - w1) with alpha*beta = n/(n+1)."""
-    n = frame.n
-    scales = {
-        2: (1.0, 2.0 / 3.0),
-        3: (3.0 / (2.0 * SQ2), 1.0 / SQ2),
-        4: (math.sqrt(6.0 / 5.0), 2.0 * math.sqrt(2.0 / 15.0)),
-    }
-    if n not in scales:
-        raise ValueError(f"no standard (u, v) seed for n={n}")
-    alpha, beta = scales[n]
+    _, _, (alpha, beta) = _standard_orbit(frame.n)
     w = frame.vectors
     return alpha * w[0], beta * (w[1] - w[0])
-
-
-SQ2, SQ3 = math.sqrt(2), math.sqrt(3)
 
 
 def _with_identity(stacks, scheme: str, params: dict) -> Decomposition:
@@ -151,7 +156,7 @@ def lattice_decomposition(frame: Frame) -> Decomposition:
     return _with_identity((dyads(i, j), dyads(j, k), dyads(k, i)), "lattice", {"frame": frame.label})
 
 
-def orbit_decomposition(spec: OrbitSpec, scheme: str = "orbit", params: dict | None = None) -> Decomposition:
+def orbit_decomposition(spec: OrbitSpec) -> Decomposition:
     """1 (x) 1 (x) 1 plus the orbit of m1 (x) m2 (x) m3 under diagonal
     conjugation by the group, where m1 = u v^T and m2, m3 are its conjugates
     by the lifted order-3 element."""
@@ -162,22 +167,18 @@ def orbit_decomposition(spec: OrbitSpec, scheme: str = "orbit", params: dict | N
     m3 = sigma @ m2 @ sigma.T
     rho = np.array([lift_permutation(frame, g) for g in spec.group])
     rho_t = rho.transpose(0, 2, 1)
-    p = {"frame": frame.label}
-    if params:
-        p.update(params)
-    return _with_identity([rho @ m @ rho_t for m in (m1, m2, m3)], scheme, p)
-
-
-_STANDARD_FIXTURES = {2: "triangle-2", 3: "tetrahedron-3", 4: "simplex-4"}
+    params = {"frame": frame.label, **spec.params}
+    return _with_identity([rho @ m @ rho_t for m in (m1, m2, m3)], spec.scheme, params)
 
 
 def orbit_spec_for(n: int, frame: Frame | None = None) -> OrbitSpec:
     """The standard orbit construction for n in {2, 3, 4} on the given frame
     (default: the explicit coordinate fixture for that n)."""
+    fixture, group, _ = _standard_orbit(n)
     if frame is None:
-        frame = fixture_frame(_STANDARD_FIXTURES[n])
+        frame = fixture_frame(fixture)
     u, v = standard_uv(frame)
-    return OrbitSpec(frame, standard_group(n), standard_sigma_perm(frame.size), u, v)
+    return OrbitSpec(frame, group, standard_sigma_perm(frame.size), u, v)
 
 
 # Exact values of cos(k*pi/6) for k = 0..11; avoids pi rounding in goldens.
@@ -187,30 +188,30 @@ _COS_SIXTHS = [1.0, SQ3 / 2, 0.5, 0.0, -0.5, -SQ3 / 2, -1.0, -SQ3 / 2, -0.5, 0.0
 def strassen_theta_spec(theta: float) -> OrbitSpec:
     """The one-parameter n=2 family: u = (cos t, sin t), v = (2/3)(sigma u - u),
     orbit over S3 on the triangle frame.  Valid iff sin 6t = 0."""
-    return _strassen_spec(np.array([math.cos(theta), math.sin(theta)]))
+    return _strassen_spec(np.array([math.cos(theta), math.sin(theta)]), {"theta": theta})
 
 
 def strassen_theta(theta: float) -> Decomposition:
     """The decomposition of strassen_theta_spec(theta)."""
-    return orbit_decomposition(strassen_theta_spec(theta), "strassen-theta", {"theta": theta})
+    return orbit_decomposition(strassen_theta_spec(theta))
 
 
 def strassen_theta_sixths_spec(k: int) -> OrbitSpec:
     """strassen_theta_spec at theta = k*pi/6, built from exact trig values."""
-    return _strassen_spec(np.array([_COS_SIXTHS[k % 12], _COS_SIXTHS[(k - 3) % 12]]))
+    return _strassen_spec(np.array([_COS_SIXTHS[k % 12], _COS_SIXTHS[(k - 3) % 12]]), {"theta_sixths": k})
 
 
 def strassen_theta_sixths(k: int) -> Decomposition:
     """The decomposition of strassen_theta_sixths_spec(k)."""
-    return orbit_decomposition(strassen_theta_sixths_spec(k), "strassen-theta", {"theta_sixths": k})
+    return orbit_decomposition(strassen_theta_sixths_spec(k))
 
 
-def _strassen_spec(u: np.ndarray) -> OrbitSpec:
+def _strassen_spec(u: np.ndarray, params: dict) -> OrbitSpec:
     frame = fixture_frame("triangle-2")
     sigma_perm = standard_sigma_perm(3)
     sigma = lift_permutation(frame, sigma_perm)
     v = 2.0 / 3.0 * (sigma @ u - u)
-    return OrbitSpec(frame, symmetric_group(3), sigma_perm, u, v)
+    return OrbitSpec(frame, symmetric_group(3), sigma_perm, u, v, "strassen-theta", params)
 
 
 def _y_of(theta: float) -> np.ndarray:
@@ -248,13 +249,13 @@ def s4_family_spec(which: str, sign: int, theta: float) -> OrbitSpec:
     else:
         u = y
         v = z + sign / (3 * SQ2) * w4_raw
-    return OrbitSpec(frame, symmetric_group(4), sigma_perm, u, v)
+    params = {"which": which, "sign": sign, "theta": theta}
+    return OrbitSpec(frame, symmetric_group(4), sigma_perm, u, v, "s4-family", params)
 
 
 def s4_family(which: str, sign: int, theta: float) -> Decomposition:
     """The decomposition of s4_family_spec(which, sign, theta)."""
-    spec = s4_family_spec(which, sign, theta)
-    return orbit_decomposition(spec, "s4-family", {"which": which, "sign": sign, "theta": theta})
+    return orbit_decomposition(s4_family_spec(which, sign, theta))
 
 
 @dataclass(frozen=True)

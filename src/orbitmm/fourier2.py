@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
-from .tensor import exact_matrix, frobenius_inner, is_exact, rank1_tensor
+from .tensor import Decomposition, exact_matrix, is_exact, tensor_of
 
 __all__ = [
     "BASIS_NAMES",
@@ -44,44 +45,34 @@ def basis_matrices(exact: bool = True) -> dict[str, np.ndarray]:
 def fourier_coefficients(T: np.ndarray) -> dict[tuple[str, str, str], Fraction]:
     """All 64 coefficients c(alpha, beta, gamma) = <T, a (x) b (x) c> / 8.
 
-    Exact for object-dtype tensors, float for float tensors.
+    One change of basis on each of T's three slots.  Exact for object-dtype
+    tensors, float for float tensors.
     """
     if T.shape != (2,) * 6:
         raise ValueError("fourier_coefficients requires an n=2 tensor")
     exact = is_exact(T)
-    basis = basis_matrices(exact=exact)
-    eighth = Fraction(1, 8) if exact else 0.125
-    out = {}
-    for na in BASIS_NAMES:
-        for nb in BASIS_NAMES:
-            for nc in BASIS_NAMES:
-                t = rank1_tensor(basis[na], basis[nb], basis[nc])
-                out[(na, nb, nc)] = frobenius_inner(T, t) * eighth
-    return out
+    P = np.stack([m.reshape(4) for m in basis_matrices(exact=exact).values()])
+    # T over its slots (a,d), (b,e), (c,f); each tensordot contracts the
+    # leading slot with the basis and appends that slot's coefficient axis
+    C = T.transpose(0, 3, 1, 4, 2, 5).reshape(4, 4, 4)
+    for _ in range(3):
+        C = np.tensordot(C, P, axes=(0, 1))
+    C = C / (Fraction(8) if exact else 8.0)
+    return dict(zip(product(BASIS_NAMES, repeat=3), C.flat))
 
 
 def reconstruct(coeffs: dict[tuple[str, str, str], Fraction]) -> np.ndarray:
     """Sum c(a,b,c) * a (x) b (x) c over the full 64-entry table."""
-    missing = [
-        (a, b, c)
-        for a in BASIS_NAMES
-        for b in BASIS_NAMES
-        for c in BASIS_NAMES
-        if (a, b, c) not in coeffs
-    ]
+    keys = list(product(BASIS_NAMES, repeat=3))
+    missing = [key for key in keys if key not in coeffs]
     if missing:
         raise ValueError(f"coefficient table incomplete, e.g. missing {missing[0]}")
     exact = any(isinstance(v, Fraction) for v in coeffs.values())
     basis = basis_matrices(exact=exact)
-    if exact:
-        T = np.full((2,) * 6, Fraction(0), dtype=object)
-    else:
-        T = np.zeros((2,) * 6)
-    for (na, nb, nc), c in coeffs.items():
-        if c == 0:
-            continue
-        T = T + c * rank1_tensor(basis[na], basis[nb], basis[nc])
-    return T
+    U = np.stack([basis[a] for a, _, _ in keys])
+    V = np.stack([basis[b] for _, b, _ in keys])
+    W = np.stack([coeffs[key] * basis[key[2]] for key in keys])  # the coefficient on the C side
+    return tensor_of(Decomposition(U, V, W))
 
 
 def _traces(m: np.ndarray):

@@ -112,13 +112,20 @@ def load_decomposition(path) -> Decomposition:
     try:
         if doc["format_version"] != FORMAT_VERSION:
             raise SchemaError(f"unsupported format_version {doc['format_version']}")
-        n = int(doc["n"])
+        n, kind = doc["n"], doc["scalar_kind"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise SchemaError(f"n must be an integer, got {n!r}")
         if n < 1:
             raise SchemaError(f"n must be >= 1, got {n}")
-        exact = doc["scalar_kind"] == "rational"
+        if kind not in ("rational", "float64"):
+            raise SchemaError(f"scalar_kind must be 'rational' or 'float64', got {kind!r}")
+        params = doc.get("params", {})
+        if not isinstance(params, dict):
+            raise SchemaError(f"params must be an object, got {params!r}")
+        exact = kind == "rational"
         terms = doc["terms"]
         U, V, W = (_load_stack([t[s] for t in terms], n, exact) for s in "abc")
-        return Decomposition(U, V, W, doc.get("scheme", "imported"), doc.get("params", {}))
+        return Decomposition(U, V, W, doc.get("scheme", "imported"), params)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         if isinstance(e, SchemaError):
             raise

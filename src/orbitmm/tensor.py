@@ -26,9 +26,9 @@ float64).
 `tensor_of` builds the dense tensor from the stacks: the row-wise Kronecker
 product KR[r] = a_r (x) b_r (r x n^4) times W (r x n^2) is one GEMM, taken
 over chunks of n^2 terms so that no temporary exceeds the n^6 entries of the
-result.  Every dense n^6 tensor (`tensor_of`, `mm_tensor`, `rank1_tensor`)
-is refused with a RefusedInput (a ValueError), before anything is
-allocated, when its float64 size would exceed MAX_DENSE_BYTES.
+result.  Every dense n^6 tensor (`tensor_of`, `mm_tensor`) is refused with
+a RefusedInput (a ValueError), before anything is allocated, when its
+float64 size would exceed MAX_DENSE_BYTES.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "exact_matrix",
     "is_exact",
     "mm_tensor",
-    "rank1_tensor",
     "tensor_of",
     "frobenius_inner",
     "operator_trace",
@@ -154,14 +153,6 @@ def mm_tensor(n: int, exact: bool = False) -> np.ndarray:
     for a, b, c in product(range(n), repeat=3):
         T[a, b, c, b, c, a] = one
     return T
-
-
-def rank1_tensor(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Dense tensor of a single separable term: T[a,b,c,d,e,f] = a[a,d] b[b,e] c[c,f]."""
-    _require_dense_size(a.shape[0])
-    # outer products give axis order (a,d,b,e,c,f); permute to (a,b,c,d,e,f)
-    t = np.multiply.outer(np.multiply.outer(a, b), c)
-    return t.transpose(0, 2, 4, 1, 3, 5)
 
 
 def tensor_of(dec: Decomposition) -> np.ndarray:

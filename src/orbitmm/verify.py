@@ -35,15 +35,11 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class VerifyReport:
-    n: int
-    rank: int
     max_residual: float
     tol: float
     valid: bool
 
     def lines(self):
-        yield f"n               : {self.n}"
-        yield f"rank            : {self.rank}"
         yield f"max residual    : {self.max_residual:.3e}"
         yield f"valid (tol={self.tol:g}): {self.valid}"
 
@@ -52,7 +48,7 @@ def verify_float(dec: Decomposition, tol: float = DEFAULT_TOL) -> VerifyReport:
     """Entrywise check of tensor_of(dec) against mm_tensor(n)."""
     T = tensor_of(dec.to_float())
     residual = float(np.abs(T - mm_tensor(dec.n)).max())
-    return VerifyReport(n=dec.n, rank=dec.rank, max_residual=residual, tol=tol, valid=residual < tol)
+    return VerifyReport(max_residual=residual, tol=tol, valid=residual < tol)
 
 
 def _trace_cube(X: np.ndarray) -> int:

@@ -356,6 +356,13 @@ def test_benchmark_rows(nprng):
         assert r.recursive_time > 0 and r.naive_time > 0
 
 
+@pytest.mark.parametrize("sizes", [[1], [4, 0]])
+def test_benchmark_refuses_sizes_below_2(sizes):
+    # the exponent estimate divides by log(size)
+    with pytest.raises(RefusedInput, match="sizes must be >= 2"):
+        benchmark(lattice(2), sizes=sizes)
+
+
 def test_benchmark_table_formatting(nprng):
     rows = benchmark(lattice(2), sizes=[4], cutoff=1, rng=nprng)
     table = format_bench_table(rows)

@@ -60,6 +60,12 @@ def test_gen_scheme_dimension_mismatch_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_gen_orbit_outside_standard_n_exits_2(tmp_path, capsys):
+    path = tmp_path / "o5.json"
+    code, out, err = run(capsys, "gen", "--n", "5", "--scheme", "orbit", "-o", str(path))
+    assert code == 2 and "n=5" in err and out == "" and not path.exists()
+
+
 def test_gen_unwritable_output_exits_2(tmp_path, capsys):
     out_path = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "gen", "--n", "2", "--scheme", "strassen-theta", "-o", str(out_path))
@@ -113,6 +119,9 @@ def test_verify_text_prints_each_invariant_once(tmp_path, capsys):
     assert code == 0
     assert out.count("operator trace") == 1 and out.count("<D, D>") == 1
     assert "max residual" in out
+    lines = out.splitlines()  # n and the rank (25 terms) too
+    assert sum(line.startswith("n ") for line in lines) == 1
+    assert sum(line.split(":")[-1].strip() == "25" for line in lines) == 1
 
 
 def test_verify_json_computes_no_factor_ranks(tmp_path, capsys, monkeypatch):
@@ -159,6 +168,27 @@ def test_verify_exact_gram_unknown_frame_label_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", str(path), "--mode", "exact-gram")
     assert code == 2 and "'s5-pair-5'" in err and out == ""
+
+
+@pytest.mark.parametrize("label", ["triangle-2", 5, "generic-9"])
+def test_verify_exact_gram_frame_label_not_fitting_file_exits_2(tmp_path, capsys, label):
+    # a fixture of another n, a label that is not a string, a generic frame of another n
+    path = gen_lattice(tmp_path, capsys, 3)
+    doc = json.loads(path.read_text())
+    doc["params"]["frame"] = label
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path), "--mode", "exact-gram")
+    assert code == 2 and repr(label) in err and out == ""
+
+
+@pytest.mark.parametrize("field, value", [("scalar_kind", "complex128"), ("n", 2.7), ("n", True), ("params", ["x"])])
+def test_verify_malformed_header_exits_2(tmp_path, capsys, field, value):
+    path = gen_lattice(tmp_path, capsys, 2)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and field in err and repr(value) in err and out == ""
 
 
 def test_verify_undecodable_file_exits_2(tmp_path, capsys):

@@ -23,7 +23,7 @@ from orbitmm.constructions import (
     symmetric_group,
 )
 from orbitmm.frames import lift_permutation, simplex_frame
-from orbitmm.tensor import tensor_of
+from orbitmm.tensor import RefusedInput, tensor_of
 from orbitmm.verify import verify_float
 
 # entrywise residual of strassen_theta(pi/12) against MM_2, pinned via the
@@ -72,9 +72,9 @@ def test_orbit_spec_validates_sigma_order():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_orbit_on_fixture_verifies(n):
-    rep = verify_float(orbit_decomposition(orbit_spec_for(n)), tol=1e-10)
-    assert rep.valid
-    assert rep.rank == n**3 - n + 1
+    dec = orbit_decomposition(orbit_spec_for(n))
+    assert verify_float(dec, tol=1e-10).valid
+    assert dec.rank == n**3 - n + 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -108,6 +108,25 @@ def test_standard_uv_products():
         assert abs(alpha * beta - n / (n + 1)) < 1e-12
     with pytest.raises(ValueError):
         standard_uv(simplex_frame(5))
+
+
+def test_standard_orbit_refuses_other_n():
+    for build in (orbit_spec_for, standard_group, lambda n: standard_uv(simplex_frame(n))):
+        with pytest.raises(RefusedInput, match="n=5"):
+            build(5)
+
+
+def test_specs_carry_scheme_and_params():
+    # the parameters follow the frame label, in the order the files record them
+    cases = [
+        (orbit_spec_for(3), "orbit", {"frame": "tetrahedron-3"}),
+        (strassen_theta_spec(0.3), "strassen-theta", {"frame": "triangle-2", "theta": 0.3}),
+        (strassen_theta_sixths_spec(1), "strassen-theta", {"frame": "triangle-2", "theta_sixths": 1}),
+        (s4_family_spec("v", 1, 0.5), "s4-family", {"frame": "tetrahedron-3", "which": "v", "sign": 1, "theta": 0.5}),
+    ]
+    for spec, scheme, params in cases:
+        dec = orbit_decomposition(spec)
+        assert (dec.scheme, list(dec.params.items())) == (scheme, list(params.items()))
 
 
 def test_strassen_theta_zero_vectors():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitmm.constructions import standard_sigma_perm, strassen_theta
+from orbitmm.constructions import orbit_decomposition, orbit_spec_for, standard_sigma_perm
 from orbitmm.fourier2 import (
     BASIS_NAMES,
     basis_matrices,
@@ -16,9 +16,9 @@ from orbitmm.fourier2 import (
     strassen_equations,
 )
 from orbitmm.frames import fixture_frame, lift_permutation
-from orbitmm.tensor import exact_matrix, frobenius_inner, mm_tensor, rank1_tensor
+from orbitmm.tensor import exact_matrix, frobenius_inner, is_exact, mm_tensor, tensor_of
 
-from conftest import random_exact_matrix
+from conftest import outer3, random_exact_matrix
 
 QUARTER = Fraction(1, 4)
 
@@ -41,6 +41,44 @@ GOLDEN = {
     ("rho_x", "pi", "rho_y"): QUARTER,
     ("rho_y", "rho_x", "pi"): QUARTER,
 }
+
+
+def _reference_fourier_coefficients(T):
+    """The 64-term loop that fourier_coefficients replaced: one dense inner
+    product with a (x) b (x) c per basis triple."""
+    exact = is_exact(T)
+    basis = basis_matrices(exact=exact)
+    eighth = Fraction(1, 8) if exact else 0.125
+    out = {}
+    for na in BASIS_NAMES:
+        for nb in BASIS_NAMES:
+            for nc in BASIS_NAMES:
+                out[(na, nb, nc)] = frobenius_inner(T, outer3(basis[na], basis[nb], basis[nc])) * eighth
+    return out
+
+
+def test_fourier_matches_reference_exact(rng):
+    tensors = [mm_tensor(2, exact=True)]
+    tensors += [outer3(*(random_exact_matrix(rng, 2) for _ in range(3))) for _ in range(5)]
+    for T in tensors:
+        got = fourier_coefficients(T)
+        assert list(got) == list(_reference_fourier_coefficients(T))
+        assert all(isinstance(v, Fraction) for v in got.values())
+        assert got == _reference_fourier_coefficients(T)
+
+
+def test_fourier_matches_reference_float_orbit():
+    T = tensor_of(orbit_decomposition(orbit_spec_for(2)))
+    got, want = fourier_coefficients(T), _reference_fourier_coefficients(T)
+    assert list(got) == list(want)
+    assert max(abs(got[key] - want[key]) for key in want) <= 1e-15
+
+
+def test_roundtrip_float_orbit():
+    T = tensor_of(orbit_decomposition(orbit_spec_for(2)))
+    back = reconstruct(fourier_coefficients(T))
+    assert back.dtype == np.float64
+    assert np.abs(back - T).max() <= 1e-15
 
 
 def test_basis_orthogonality():
@@ -79,7 +117,7 @@ def test_reconstruct_identity_cube():
     coeffs = {(a, b, c): Fraction(0) for a in BASIS_NAMES for b in BASIS_NAMES for c in BASIS_NAMES}
     coeffs[("1", "1", "1")] = Fraction(1)
     b = basis_matrices(exact=True)
-    assert np.array_equal(reconstruct(coeffs), rank1_tensor(b["1"], b["1"], b["1"]))
+    assert np.array_equal(reconstruct(coeffs), outer3(b["1"], b["1"], b["1"]))
 
 
 def test_reconstruct_requires_full_table():
@@ -95,7 +133,7 @@ def test_fourier_rejects_wrong_size():
 def test_parseval_exact(rng):
     for _ in range(10):
         A, B, C = (random_exact_matrix(rng, 2) for _ in range(3))
-        T = rank1_tensor(A, B, C)
+        T = outer3(A, B, C)
         coeffs = fourier_coefficients(T)
         assert frobenius_inner(T, T) == 8 * sum(v * v for v in coeffs.values())
 

@@ -17,11 +17,10 @@ from orbitmm.tensor import (
     is_exact,
     mm_tensor,
     operator_trace,
-    rank1_tensor,
     tensor_of,
 )
 
-from conftest import random_exact_matrix
+from conftest import outer3, random_exact_matrix
 
 
 def test_mm_tensor_n1():
@@ -57,7 +56,7 @@ def test_mm_invariants_exact(n):
 
 def _pairing(A, B, C):
     """<MM, A (x) B (x) C> through the dense tensors."""
-    return frobenius_inner(mm_tensor(len(A), exact=is_exact(A)), rank1_tensor(A, B, C))
+    return frobenius_inner(mm_tensor(len(A), exact=is_exact(A)), outer3(A, B, C))
 
 
 def test_triple_trace_identity():
@@ -127,7 +126,7 @@ def _reference_tensor_of(dec):
     else:
         T = np.zeros((n,) * 6)
     for t in dec.terms:
-        T = T + rank1_tensor(t.a, t.b, t.c)
+        T = T + outer3(t.a, t.b, t.c)
     return T
 
 
@@ -178,15 +177,12 @@ def test_tensor_of_lattice12():
 def test_dense_size_guard():
     n = 23  # 8 * 23^6 bytes is just above the limit; n = 22 is just below
     assert 8 * 22**6 <= MAX_DENSE_BYTES < 8 * n**6
-    eye = np.eye(n)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"n={n} needs {8 * n**6} bytes"):
             tensor_of(Decomposition(*np.zeros((3, 0, n, n))))
         with pytest.raises(ValueError, match=f"n={n}"):
             mm_tensor(n)
-        with pytest.raises(ValueError, match=f"n={n} needs {8 * n**6} bytes"):
-            rank1_tensor(eye, eye, eye)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -118,7 +118,8 @@ def test_verify_float_tolerance_knob():
 def test_verify_report_lines():
     rep = verify_float(lattice_decomposition(simplex_frame(2)))
     text = "\n".join(rep.lines())
-    assert "rank" in text and "7" in text and "True" in text
+    # the entrywise check only: n and the rank are printed by the invariants
+    assert "max residual" in text and "True" in text and "rank" not in text
 
 
 @pytest.mark.parametrize("n", range(2, 9))
