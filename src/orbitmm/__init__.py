@@ -51,9 +51,8 @@ from .tensor import (
     Decomposition,
     Rank1Term,
     RefusedInput,
-    frobenius_inner,
+    mm_support,
     mm_tensor,
-    operator_trace,
     tensor_of,
 )
 from .verify import invariants_report, verify_exact_gram, verify_float

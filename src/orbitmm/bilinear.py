@@ -313,10 +313,12 @@ def benchmark(
     Reports the executed multiplication count at the given cutoff, the exact
     count the recursion would use at cutoff 1, and the exponent estimate
     log_size(count at cutoff 1); the estimate is count-based, not time-based,
-    and needs every size >= 2.
+    and needs every size >= 2 and a rank >= 1.
     """
     if any(size < 2 for size in sizes):
         raise RefusedInput(f"benchmark sizes must be >= 2, got {sizes}")
+    if dec.rank == 0:
+        raise RefusedInput("benchmark needs a decomposition of rank >= 1, got rank 0")
     rng = rng or np.random.default_rng(0)
     rows = []
     for size in sizes:

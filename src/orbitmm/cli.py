@@ -93,10 +93,10 @@ def _gen(args) -> int:
 
 
 def _verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"--tol must be finite and > 0, got {args.tol}")
     dec = load_decomposition(args.file)
-    rep = verify_float(dec, tol=args.tol)
-    inv = invariants_report(dec)
-    if args.mode == "exact-gram":
+    if args.mode == "exact-gram":  # refuse before any dense n^6 build
         if dec.scheme != "lattice":
             raise UsageError("exact-gram mode applies to lattice decompositions only")
         label = dec.params.get("frame", f"generic-{dec.n}")
@@ -105,12 +105,14 @@ def _verify(args) -> int:
         frame = simplex_frame(dec.n) if label == f"generic-{dec.n}" else fixture_frame(label)
         if frame.n != dec.n:
             raise UsageError(f"frame {label!r} has n={frame.n}, but the file has n={dec.n}")
+    rep = verify_float(dec, tol=args.tol)
+    inv = invariants_report(dec)
+    if args.mode == "exact-gram":
         residual = verify_exact_gram(frame)
-        # tie the certificate to the file: the file's terms must match the frame
-        regen = lattice_decomposition(frame)
-        file_dev = float(
-            np.abs(tensor_of(dec.to_float()) - tensor_of(regen)).max()
-        )
+        # tie the certificate to the file: its terms must match the frame's lattice
+        dev = tensor_of(dec.to_float())
+        dev -= tensor_of(lattice_decomposition(frame))
+        file_dev = float(np.abs(dev, out=dev).max())
         valid = residual == 0 and file_dev < args.tol
         if args.json:
             print(json.dumps({"mode": "exact-gram", "residual": str(residual), "file_deviation": file_dev, "valid": valid, "invariants": _inv_record(inv)}))

@@ -10,7 +10,10 @@ the column indices.  The matrix multiplication tensor chains the slots:
 entry 1 exactly when d = b, e = c, f = a (the column index of each slot
 equals the row index of the next, cyclically), which is what makes the
 pairing <MM, A (x) B (x) C> = sum MM[a..f] A[a,d] B[b,e] C[c,f] equal
-tr ABC.  This orientation is fixed here, in this one place.
+tr ABC.  This orientation is fixed here, in this one place: `mm_support`
+names MM_n's n^3 ones as the (n, n, n) view T[a, b, c, b, c, a] of any
+tensor T, and every reader of them goes through it (`mm_tensor` writes its
+ones through the view; the verifiers read or subtract MM_n through it).
 
 A decomposition is stored once, as its CP (Kruskal) factor stacks U, V, W,
 each of shape (r, n, n): term r is U[r] (x) V[r] (x) W[r].  Every module
@@ -26,16 +29,17 @@ float64).
 `tensor_of` builds the dense tensor from the stacks: the row-wise Kronecker
 product KR[r] = a_r (x) b_r (r x n^4) times W (r x n^2) is one GEMM, taken
 over chunks of n^2 terms so that no temporary exceeds the n^6 entries of the
-result.  Every dense n^6 tensor (`tensor_of`, `mm_tensor`) is refused with
-a RefusedInput (a ValueError), before anything is allocated, when its
-float64 size would exceed MAX_DENSE_BYTES.
+result.  It returns a fresh array, which is what lets the verifiers write
+into it (subtract MM_n through `mm_support`, take abs in place) instead of
+building a second n^6 tensor.  Every dense n^6 tensor (`tensor_of`,
+`mm_tensor`) is refused with a RefusedInput (a ValueError), before anything
+is allocated, when its float64 size would exceed MAX_DENSE_BYTES.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -47,10 +51,9 @@ __all__ = [
     "MAX_DENSE_BYTES",
     "exact_matrix",
     "is_exact",
+    "mm_support",
     "mm_tensor",
     "tensor_of",
-    "frobenius_inner",
-    "operator_trace",
 ]
 
 
@@ -139,6 +142,13 @@ def _require_dense_size(n: int) -> None:
         )
 
 
+def mm_support(T: np.ndarray) -> np.ndarray:
+    """The entries T[a, b, c, b, c, a], where MM_n is 1, as a writeable
+    (n, n, n) view of T.  einsum only takes a view here, so Fraction
+    tensors are read and written through it as well."""
+    return np.einsum("abcbca->abc", T)
+
+
 def mm_tensor(n: int, exact: bool = False) -> np.ndarray:
     """The n x n matrix multiplication tensor: entry 1 iff d=b, e=c, f=a."""
     if n < 1:
@@ -146,12 +156,9 @@ def mm_tensor(n: int, exact: bool = False) -> np.ndarray:
     _require_dense_size(n)
     if exact:
         T = np.full((n,) * 6, Fraction(0), dtype=object)
-        one = Fraction(1)
     else:
         T = np.zeros((n,) * 6)
-        one = 1.0
-    for a, b, c in product(range(n), repeat=3):
-        T[a, b, c, b, c, a] = one
+    mm_support(T)[...] = Fraction(1) if exact else 1.0
     return T
 
 
@@ -172,18 +179,3 @@ def tensor_of(dec: Decomposition) -> np.ndarray:
         T += W[s : s + n2].T @ kr
     return T.reshape((n,) * 6).transpose(2, 4, 0, 3, 5, 1)
 
-
-def frobenius_inner(T1: np.ndarray, T2: np.ndarray):
-    """Entrywise inner product of two tensors (real case, no conjugation)."""
-    if T1.shape != T2.shape:
-        raise ValueError("tensor dimensions do not match")
-    return (T1 * T2).sum()
-
-
-def operator_trace(T: np.ndarray):
-    """Trace of the tensor viewed as an operator: sum of T[a,b,c,a,b,c]."""
-    n = T.shape[0]
-    total = Fraction(0) if is_exact(T) else 0.0
-    for a, b, c in product(range(n), repeat=3):
-        total = total + T[a, b, c, a, b, c]
-    return total

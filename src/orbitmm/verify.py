@@ -1,13 +1,18 @@
 """Two independent validity checkers for candidate decompositions.
 
-verify_float materializes the dense tensor and compares entrywise with MM_n.
+verify_float materializes the dense tensor and compares entrywise with MM_n:
+`tensor_of` returns a fresh array, so MM_n's ones are subtracted in place
+through `mm_support` and no second n^6 tensor is built.
 verify_exact_gram never touches coordinates: it evaluates the squared norm
 |D - MM|^2 for the lattice construction purely from the frame's exact
 rational Gram matrix, returning a Fraction that is 0 iff D = MM.  Its sums
 over (pairs of) lattice terms are three traces of cubes of integer matrices,
 tr(X^3) = ((X @ X) * X.T).sum(): float64 GEMMs when d^3 max|X|^3 < 2^53
 (every partial sum is then an exactly held integer), Python ints otherwise.
-invariants_report computes its factor ranks only when they are read.
+invariants_report reads its three invariants from one dense tensor T: the
+operator trace as einsum("abcabc->", T), <D, MM> as the sum of
+mm_support(T) and <D, D> as (T * T).sum(); it computes its factor ranks
+only when they are read.
 """
 
 from __future__ import annotations
@@ -20,13 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .frames import Frame
-from .tensor import (
-    Decomposition,
-    frobenius_inner,
-    mm_tensor,
-    operator_trace,
-    tensor_of,
-)
+from .tensor import Decomposition, mm_support, tensor_of
 
 __all__ = ["VerifyReport", "InvariantsReport", "verify_float", "verify_exact_gram", "invariants_report"]
 
@@ -45,9 +44,11 @@ class VerifyReport:
 
 
 def verify_float(dec: Decomposition, tol: float = DEFAULT_TOL) -> VerifyReport:
-    """Entrywise check of tensor_of(dec) against mm_tensor(n)."""
+    """Entrywise check of tensor_of(dec) against MM_n: the largest
+    |tensor_of(dec) - MM_n| entry, computed in the fresh tensor's own memory."""
     T = tensor_of(dec.to_float())
-    residual = float(np.abs(T - mm_tensor(dec.n)).max())
+    mm_support(T)[...] -= 1.0
+    residual = float(np.abs(T, out=T).max())
     return VerifyReport(max_residual=residual, tol=tol, valid=residual < tol)
 
 
@@ -133,8 +134,8 @@ def invariants_report(dec: Decomposition) -> InvariantsReport:
     return InvariantsReport(
         n=dec.n,
         rank=dec.rank,
-        operator_trace=float(operator_trace(T)),
-        frobenius_sq=float(frobenius_inner(T, T)),
-        inner_with_mm=float(frobenius_inner(T, mm_tensor(dec.n))),
+        operator_trace=float(np.einsum("abcabc->", T)),
+        frobenius_sq=float((T * T).sum()),
+        inner_with_mm=float(mm_support(T).sum()),
         factors=d,
     )

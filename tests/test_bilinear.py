@@ -363,6 +363,12 @@ def test_benchmark_refuses_sizes_below_2(sizes):
         benchmark(lattice(2), sizes=sizes)
 
 
+def test_benchmark_refuses_rank_0():
+    # the exponent estimate takes log(count at cutoff 1), and rank 0 counts 0
+    with pytest.raises(RefusedInput, match="rank >= 1"):
+        benchmark(Decomposition(*np.zeros((3, 0, 2, 2))), sizes=[4], cutoff=1)
+
+
 def test_benchmark_table_formatting(nprng):
     rows = benchmark(lattice(2), sizes=[4], cutoff=1, rng=nprng)
     table = format_bench_table(rows)

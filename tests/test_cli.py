@@ -1,10 +1,13 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import orbitmm
 from orbitmm.cli import main
-from orbitmm.serialize import load_decomposition, load_matrix, save_matrix
+from orbitmm.serialize import load_decomposition, load_matrix, save_decomposition, save_matrix
+from orbitmm.tensor import Decomposition
 
 
 def run(capsys, *argv):
@@ -158,6 +161,61 @@ def test_verify_exact_gram_rejects_nonlattice(tmp_path, capsys):
     run(capsys, "gen", "--n", "2", "--scheme", "orbit", "-o", str(path))
     code, _, err = run(capsys, "verify", str(path), "--mode", "exact-gram")
     assert code == 2
+
+
+def _count_tensor_of(monkeypatch):
+    """Count the tensor_of calls made through the package's bindings of it."""
+    calls = []
+    real = orbitmm.tensor.tensor_of
+
+    def counted(dec):
+        calls.append(dec.n)
+        return real(dec)
+
+    for mod in ("orbitmm.verify", "orbitmm.cli"):
+        monkeypatch.setattr(f"{mod}.tensor_of", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["orbit", "label-not-a-string", "label-of-another-n", "valid"])
+def test_verify_exact_gram_refuses_before_any_dense_build(tmp_path, capsys, monkeypatch, case):
+    if case == "orbit":
+        path = tmp_path / "orb.json"
+        run(capsys, "gen", "--n", "2", "--scheme", "orbit", "-o", str(path))
+    else:
+        path = gen_lattice(tmp_path, capsys, 3)
+        doc = json.loads(path.read_text())
+        doc["params"]["frame"] = {"label-not-a-string": 5, "label-of-another-n": "triangle-2", "valid": "generic-3"}[case]
+        path.write_text(json.dumps(doc))
+    calls = _count_tensor_of(monkeypatch)
+    code, _, _ = run(capsys, "verify", str(path), "--mode", "exact-gram")
+    # a valid lattice file takes 4 dense builds: 1 float check, 1 invariants, 2 file tie
+    assert (code, len(calls)) == ((0, 4) if case == "valid" else (2, 0))
+
+
+def _corrupted_lattice3(tmp_path, capsys):
+    """The n=3 lattice file with term 1's a[0] set to 5.0."""
+    path = gen_lattice(tmp_path, capsys, 3)
+    doc = json.loads(path.read_text())
+    doc["terms"][1]["a"][0] = "5.0"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("mode", ["float", "exact-gram"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+def test_verify_tol_must_be_finite_and_positive(tmp_path, capsys, mode, tol):
+    path = _corrupted_lattice3(tmp_path, capsys)
+    code, out, err = run(capsys, "verify", str(path), "--mode", mode, "--tol", tol)
+    assert code == 2 and "--tol" in err and out == ""
+
+
+def test_verify_exact_gram_rejects_corrupted_lattice_file(tmp_path, capsys):
+    # the frame's certificate is exact 0; the file tie is what fails
+    path = _corrupted_lattice3(tmp_path, capsys)
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "exact-gram", "--json")
+    rec = json.loads(out)
+    assert code == 1 and rec["residual"] == "0" and rec["file_deviation"] > 5 and rec["valid"] is False
 
 
 def test_verify_exact_gram_unknown_frame_label_exits_2(tmp_path, capsys):
@@ -393,6 +451,40 @@ def test_bench_bad_sizes_exit_2(tmp_path, capsys, sizes):
     dec = gen_lattice(tmp_path, capsys)
     code, out, err = run(capsys, "bench", str(dec), "--sizes", sizes)
     assert code == 2 and "--sizes" in err and out == ""
+
+
+def test_bench_refuses_rank_0(tmp_path, capsys):
+    path = tmp_path / "r0.json"
+    save_decomposition(Decomposition(*np.zeros((3, 0, 2, 2))), path)
+    code, out, err = run(capsys, "bench", str(path), "--sizes", "4", "--cutoff", "1", "--json")
+    assert code == 2 and "rank" in err and out == ""
+
+
+def test_cli_paths_build_no_mm_tensor(tmp_path, capsys, monkeypatch):
+    # MM_n is read through mm_support: no verify, analyze or multiply path
+    # builds the dense mm_tensor
+    lat = gen_lattice(tmp_path, capsys, 3)
+    orbit, theta = tmp_path / "orb.json", tmp_path / "theta.json"
+    run(capsys, "gen", "--n", "2", "--scheme", "orbit", "-o", str(orbit))
+    run(capsys, "gen", "--n", "2", "--scheme", "strassen-theta", "--theta", "0.26", "-o", str(theta))
+    fa = tmp_path / "a.txt"
+    save_matrix(np.arange(16.0).reshape(4, 4), fa)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("mm_tensor called")
+
+    bound = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "orbitmm" and hasattr(m, "mm_tensor")]
+    assert orbitmm.tensor in bound
+    for m in bound:
+        monkeypatch.setattr(m, "mm_tensor", refused)
+    assert run(capsys, "verify", str(lat))[0] == 0
+    assert run(capsys, "verify", str(lat), "--mode", "exact-gram", "--json")[0] == 0
+    assert run(capsys, "verify", str(theta))[0] == 1
+    assert run(capsys, "analyze", str(orbit))[0] == 0
+    assert run(capsys, "analyze", str(lat))[0] == 0
+    assert run(capsys, "analyze", "strassen")[0] == 0
+    assert run(capsys, "multiply", str(orbit), str(fa), str(fa), "--cutoff", "1")[0] == 0
+    assert run(capsys, "multiply", str(theta), str(fa), str(fa))[0] == 1
 
 
 def test_internal_value_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):

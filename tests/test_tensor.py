@@ -13,14 +13,45 @@ from orbitmm.tensor import (
     Decomposition,
     Rank1Term,
     exact_matrix,
-    frobenius_inner,
     is_exact,
+    mm_support,
     mm_tensor,
-    operator_trace,
     tensor_of,
 )
+from orbitmm.verify import invariants_report
 
 from conftest import outer3, random_exact_matrix
+
+
+def _reference_mm_tensor(n, exact=False):
+    """The n^3-step loop that mm_tensor replaced: one entry T[a,b,c,b,c,a] at a time."""
+    if exact:
+        T = np.full((n,) * 6, Fraction(0), dtype=object)
+    else:
+        T = np.zeros((n,) * 6)
+    for a, b, c in product(range(n), repeat=3):
+        T[a, b, c, b, c, a] = Fraction(1) if exact else 1.0
+    return T
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_mm_tensor_matches_reference(n, exact):
+    got, want = mm_tensor(n, exact=exact), _reference_mm_tensor(n, exact=exact)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    if exact:
+        assert all(type(x) is Fraction for x in got.flat)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_mm_support_is_a_writeable_view(exact):
+    T = _reference_mm_tensor(3, exact=exact)
+    view = mm_support(T)
+    assert view.shape == (3, 3, 3) and np.shares_memory(view, T)
+    assert all(x == 1 for x in view.flat)
+    view[...] = 0
+    assert not T.any()
 
 
 def test_mm_tensor_n1():
@@ -49,14 +80,14 @@ def test_mm_tensor_n3_nonzero_count():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_mm_invariants_exact(n):
     T = mm_tensor(n, exact=True)
-    assert operator_trace(T) == n
-    assert frobenius_inner(T, T) == n**3
+    assert np.einsum("abcabc->abc", T).sum() == n  # operator trace
+    assert (T * T).sum() == n**3
     assert sum(1 for idx in product(range(n), repeat=6) if T[idx] != 0) == n**3
 
 
 def _pairing(A, B, C):
     """<MM, A (x) B (x) C> through the dense tensors."""
-    return frobenius_inner(mm_tensor(len(A), exact=is_exact(A)), outer3(A, B, C))
+    return (mm_tensor(len(A), exact=is_exact(A)) * outer3(A, B, C)).sum()
 
 
 def test_triple_trace_identity():
@@ -189,21 +220,9 @@ def test_dense_size_guard():
     assert peak < 1 << 20  # refused before any n^6 allocation
 
 
-def test_frobenius_inner_examples():
-    assert frobenius_inner(mm_tensor(2), mm_tensor(2)) == pytest.approx(8.0)
-    assert frobenius_inner(mm_tensor(3), mm_tensor(3)) == pytest.approx(27.0)
-    assert frobenius_inner(np.zeros((2,) * 6), mm_tensor(2)) == 0.0
-
-
-def test_frobenius_inner_mismatch():
-    with pytest.raises(ValueError):
-        frobenius_inner(mm_tensor(2), mm_tensor(3))
-
-
 def test_operator_trace_identity_cube():
     eye3 = exact_matrix(np.eye(3, dtype=int).tolist())[None]
-    T = tensor_of(Decomposition(eye3, eye3, eye3))
-    assert operator_trace(T) == 27
+    assert invariants_report(Decomposition(eye3, eye3, eye3)).operator_trace == 27
 
 
 def test_decomposition_rejects_mismatched_term():

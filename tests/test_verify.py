@@ -1,15 +1,19 @@
 import math
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from orbitmm.constructions import lattice_decomposition, strassen_theta
+from orbitmm.constructions import lattice_decomposition, orbit_decomposition, orbit_spec_for, strassen_theta
 from orbitmm.frames import FIXTURE_NAMES, corrupt, fixture_frame, simplex_frame
-from orbitmm.tensor import Decomposition
+from orbitmm.tensor import Decomposition, mm_tensor, tensor_of
 from orbitmm.verify import _trace_cube, invariants_report, verify_exact_gram, verify_float
+
+from conftest import random_exact_matrix
 
 DELETED_TERM_RESIDUAL = 0.8660254037844382  # sqrt(3)/2, pinned
 PERTURBED_GRAM_VALUE = Fraction(10370589409215729, 256000000000000000)
@@ -94,6 +98,34 @@ def test_verify_float_lattice(n):
     inv = invariants_report(dec)
     assert abs(inv.operator_trace - n) < 1e-9
     assert abs(inv.frobenius_sq - n**3) < 1e-8
+
+
+def _random_exact_dec(seed, n, rank):
+    rng = random.Random(seed)
+    return Decomposition(*(np.array([random_exact_matrix(rng, n) for _ in range(rank)]) for _ in range(3)))
+
+
+DENSE_CHECK_DECS = {
+    **{f"lattice{n}": lattice_decomposition(simplex_frame(n)) for n in range(2, 8)},
+    **{f"orbit{n}": orbit_decomposition(orbit_spec_for(n)) for n in (2, 3, 4)},
+    "theta-pi/12": strassen_theta(math.pi / 12),
+    "random-exact": _random_exact_dec(5, 3, 11),
+    "rank0": Decomposition(*np.zeros((3, 0, 3, 3))),
+}
+
+
+@pytest.mark.parametrize("dec", DENSE_CHECK_DECS.values(), ids=DENSE_CHECK_DECS.keys())
+def test_dense_checks_match_their_definitions(dec):
+    # the residual and the invariants as they were defined before they were
+    # read through mm_support: against a second dense MM_n, and a loop
+    n, d = dec.n, dec.to_float()
+    T, mm = tensor_of(d), mm_tensor(n)
+    assert verify_float(dec).max_residual == np.abs(T - mm).max()
+    inv = invariants_report(dec)
+    assert inv.frobenius_sq == (T * T).sum()
+    trace = sum(T[a, b, c, a, b, c] for a, b, c in product(range(n), repeat=3))
+    assert abs(inv.operator_trace - trace) <= 1e-12 * n**3
+    assert abs(inv.inner_with_mm - (T * mm).sum()) <= 1e-12 * n**3
 
 
 def test_verify_float_reports_failure():
