@@ -45,7 +45,7 @@ from .fourier2 import (
     reconstruct,
     strassen_equations,
 )
-from .frames import Frame, check_tight, fixture_frame, lift_permutation, simplex_frame
+from .frames import Frame, fixture_frame, lift_permutation, simplex_frame
 from .serialize import load_decomposition, load_matrix, save_decomposition, save_matrix
 from .tensor import (
     Decomposition,

@@ -38,7 +38,7 @@ from .serialize import (
     save_matrix,
 )
 from .tensor import RefusedInput, tensor_of
-from .verify import invariants_report, verify_exact_gram, verify_float
+from .verify import DEFAULT_TOL, invariants_report, verify_exact_gram, verify_float
 
 SCHEMES = ("lattice", "orbit", "strassen-theta", "s4-family")
 BUILTINS = ("strassen", "s4-first", "s4-second", "s5")
@@ -60,6 +60,12 @@ def _theta_from_args(args) -> float:
     return args.theta if args.theta is not None else 0.0
 
 
+def _refuse_unread(args, reads_theta: bool, where: str):
+    """Refuse --theta and --theta-sixths where no theta seed reads them."""
+    if not reads_theta and (args.theta is not None or args.theta_sixths is not None):
+        raise UsageError(f"--theta and --theta-sixths apply to the theta seeds only, not to {where}")
+
+
 def _strassen_spec(args) -> OrbitSpec:
     """The theta seed that `gen --scheme strassen-theta` writes and `analyze
     strassen` reads: exact trig values for --theta-sixths alone."""
@@ -70,6 +76,9 @@ def _strassen_spec(args) -> OrbitSpec:
 
 def _gen(args) -> int:
     n, scheme = args.n, args.scheme
+    _refuse_unread(args, scheme in ("strassen-theta", "s4-family"), f"--scheme {scheme}")
+    if args.variant is not None and scheme != "s4-family":
+        raise UsageError(f"--variant applies to s4-family only, not to --scheme {scheme}")
     if scheme == "lattice":
         if n < 1:
             raise UsageError("lattice requires n >= 1")
@@ -83,7 +92,7 @@ def _gen(args) -> int:
     elif scheme == "s4-family":
         if n != 3:
             raise UsageError("s4-family requires n = 3")
-        which, signch = args.variant.split("-")
+        which, signch = (args.variant or "u-minus").split("-")
         dec = s4_family(which, 1 if signch == "plus" else -1, _theta_from_args(args))
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown scheme {scheme}")
@@ -118,7 +127,7 @@ def _verify(args) -> int:
             print(json.dumps({"mode": "exact-gram", "residual": str(residual), "file_deviation": file_dev, "valid": valid, "invariants": _inv_record(inv)}))
         else:
             shown = "0 (exact)" if residual == 0 else str(residual)
-            print(f"exact |D - MM|^2 residual: {shown}")
+            print(f"exact |D - MM|^2 of the regenerated {label} lattice: {shown}")
             print(f"file vs regenerated lattice deviation: {file_dev:.3e}")
             for line in inv.lines():
                 print(line)
@@ -149,6 +158,7 @@ def _print_fourier_table(dec):
 
 def _analyze(args) -> int:
     target = args.target
+    _refuse_unread(args, target == "strassen", f"analyze {target}")
     if target not in BUILTINS:  # a decomposition file
         dec = load_decomposition(target)
         if dec.n == 2:
@@ -230,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument(
         "--variant",
         choices=("u-minus", "u-plus", "v-minus", "v-plus"),
-        default="u-minus",
-        help="s4-family variant: which of u/v carries the w4 component, and the sign",
+        help="s4-family variant: which of u/v carries the w4 component, and the sign (default u-minus)",
     )
     g.add_argument("--output", "-o", required=True)
     g.set_defaults(func=_gen)
@@ -239,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verify a decomposition file")
     v.add_argument("file")
     v.add_argument("--mode", choices=("float", "exact-gram"), default="float")
-    v.add_argument("--tol", type=float, default=1e-9)
+    v.add_argument("--tol", type=float, default=DEFAULT_TOL)
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=_verify)
 

@@ -27,7 +27,7 @@ S4_SIGMA = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 def s4_basis() -> dict[str, np.ndarray]:
-    """The ten pairwise-orthogonal 3x3 basis matrices: identity, the two
+    """The nine pairwise-orthogonal 3x3 basis matrices: identity, the two
     trace-zero diagonals beta_x/beta_y, the hollow symmetric s1..s3, and the
     antisymmetric a1..a3."""
     return {

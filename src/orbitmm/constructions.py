@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
+from .constraints import z_from_y
 from .frames import Frame, fixture_frame, lift_permutation
 from .tensor import Decomposition, RefusedInput
 
@@ -21,7 +22,6 @@ __all__ = [
     "OrbitSpec",
     "symmetric_group",
     "alternating_group",
-    "standard_group",
     "standard_sigma_perm",
     "standard_uv",
     "lattice_decomposition",
@@ -43,24 +43,10 @@ def symmetric_group(k: int) -> tuple:
     return tuple(permutations(range(k)))
 
 
-def _parity(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def alternating_group(k: int) -> tuple:
-    return tuple(p for p in permutations(range(k)) if _parity(p) == 1)
+    """The even permutations of 0..k-1 (an even number of inversions), in
+    lexicographic order."""
+    return tuple(p for p in permutations(range(k)) if sum(a > b for a, b in combinations(p, 2)) % 2 == 0)
 
 
 def compose(p, q) -> tuple:
@@ -84,13 +70,6 @@ def _standard_orbit(n: int) -> tuple:
     if n not in _STANDARD_ORBITS:
         raise RefusedInput(f"the standard orbit exists for n in {tuple(_STANDARD_ORBITS)}, not for n={n}")
     return _STANDARD_ORBITS[n]
-
-
-def standard_group(n: int) -> tuple:
-    """The size n^3 - n permutation group acting 3-transitively on n+1 frame
-    indices: S3, S4, A5 for n = 2, 3, 4."""
-    _, group, _ = _standard_orbit(n)
-    return group
 
 
 def standard_sigma_perm(k: int) -> tuple:
@@ -209,8 +188,7 @@ def strassen_theta_sixths(k: int) -> Decomposition:
 def _strassen_spec(u: np.ndarray, params: dict) -> OrbitSpec:
     frame = fixture_frame("triangle-2")
     sigma_perm = standard_sigma_perm(3)
-    sigma = lift_permutation(frame, sigma_perm)
-    v = 2.0 / 3.0 * (sigma @ u - u)
+    v = z_from_y(u, lift_permutation(frame, sigma_perm))
     return OrbitSpec(frame, symmetric_group(3), sigma_perm, u, v, "strassen-theta", params)
 
 
@@ -239,9 +217,8 @@ def s4_family_spec(which: str, sign: int, theta: float) -> OrbitSpec:
         raise ValueError("sign must be +1 or -1")
     frame = fixture_frame("tetrahedron-3")
     sigma_perm = standard_sigma_perm(4)
-    sigma = lift_permutation(frame, sigma_perm)
     y = _y_of(theta)
-    z = 2.0 / 3.0 * (sigma @ y - y)
+    z = z_from_y(y, lift_permutation(frame, sigma_perm))
     w4_raw = np.array([-1.0, -1.0, -1.0])  # unnormalized tetrahedron vertex
     if which == "u":
         u = y + sign / (2 * SQ2 * SQ3) * w4_raw

@@ -11,7 +11,7 @@ the source is a seed pair, not a frame, and lives in constructions.s5_fixture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,10 +20,8 @@ from .tensor import RefusedInput
 
 __all__ = [
     "Frame",
-    "TightReport",
     "simplex_frame",
     "fixture_frame",
-    "check_tight",
     "lift_permutation",
     "FIXTURE_NAMES",
 ]
@@ -111,34 +109,6 @@ def fixture_frame(name: str) -> Frame:
     return Frame(n=n, vectors=vecs, gram=_simplex_gram(n), label=name)
 
 
-@dataclass(frozen=True)
-class TightReport:
-    max_sum_deviation: float  # |sum_i w_i|_max
-    max_identity_deviation: float  # |(n/(n+1)) sum w_i w_i^T - 1|_max
-    gram_row_sums: tuple  # exact Fractions, all zero for a true simplex Gram
-    exact_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.exact_ok
-            and self.max_sum_deviation < 1e-12
-            and self.max_identity_deviation < 1e-12
-        )
-
-
-def check_tight(frame: Frame) -> TightReport:
-    """Measure the two tight-frame identities, float and exact (via Gram rows)."""
-    n = frame.n
-    w = frame.vectors
-    sum_dev = float(np.abs(w.sum(axis=0)).max())
-    outer = sum(np.outer(v, v) for v in w)
-    id_dev = float(np.abs(n / (n + 1) * outer - np.eye(n)).max())
-    row_sums = tuple(sum(frame.gram[i]) for i in range(frame.size))
-    exact_ok = all(s == 0 for s in row_sums)
-    return TightReport(sum_dev, id_dev, row_sums, exact_ok)
-
-
 def lift_permutation(frame: Frame, perm) -> np.ndarray:
     """Orthogonal matrix rho with rho w_i = w_{perm(i)} for all frame indices.
 
@@ -155,9 +125,3 @@ def lift_permutation(frame: Frame, perm) -> np.ndarray:
         rho += np.outer(w[perm[i]], w[i])
     return n / (n + 1) * rho
 
-
-def corrupt(frame: Frame, index: int = 0, scale: float = 1.01) -> Frame:
-    """A copy of the frame with one vector rescaled; for negative testing."""
-    vecs = frame.vectors.copy()
-    vecs[index] *= scale
-    return replace(frame, vectors=vecs, label=frame.label + "-corrupted")

@@ -55,6 +55,52 @@ def test_gen_s4_family(tmp_path, capsys):
     assert load_decomposition(path).rank == 25
 
 
+@pytest.mark.parametrize("variant", ["u-minus", "u-plus", "v-minus", "v-plus"])
+def test_gen_s4_family_variants(tmp_path, capsys, variant):
+    path = tmp_path / "s4.json"
+    code, _, _ = run(capsys, "gen", "--n", "3", "--scheme", "s4-family", "--variant", variant, "-o", str(path))
+    which, sign = variant.split("-")
+    dec = load_decomposition(path)
+    assert code == 0 and dec.rank == 25
+    assert dec.params == {"frame": "tetrahedron-3", "which": which, "sign": 1 if sign == "plus" else -1, "theta": 0.0}
+
+
+def test_gen_s4_family_without_variant_writes_u_minus(tmp_path, capsys):
+    plain, u_minus = tmp_path / "plain.json", tmp_path / "u-minus.json"
+    assert run(capsys, "gen", "--n", "3", "--scheme", "s4-family", "--theta", "0.7", "-o", str(plain))[0] == 0
+    argv = ("gen", "--n", "3", "--scheme", "s4-family", "--variant", "u-minus", "--theta", "0.7", "-o", str(u_minus))
+    assert run(capsys, *argv)[0] == 0
+    assert plain.read_bytes() == u_minus.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (("gen", "--n", "3", "--scheme", "lattice", "--theta", "0.3"), "--theta"),
+        (("gen", "--n", "3", "--scheme", "lattice", "--variant", "v-plus"), "--variant"),
+        (("gen", "--n", "2", "--scheme", "orbit", "--theta-sixths", "1"), "--theta"),
+        (("gen", "--n", "2", "--scheme", "strassen-theta", "--variant", "u-plus"), "--variant"),
+    ],
+    ids=["lattice-theta", "lattice-variant", "orbit-theta-sixths", "strassen-theta-variant"],
+)
+def test_gen_refuses_options_the_scheme_ignores(tmp_path, capsys, argv, option):
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, *argv, "-o", str(path))
+    assert code == 2 and option in err and out == "" and not path.exists()
+
+
+@pytest.mark.parametrize(
+    "target,option",
+    [("s4-first", ("--theta", "0.5")), ("s5", ("--theta-sixths", "2")), ("file", ("--theta", "1"))],
+    ids=["s4-first-theta", "s5-theta-sixths", "file-theta"],
+)
+def test_analyze_refuses_theta_outside_strassen(tmp_path, capsys, target, option):
+    if target == "file":
+        target = str(gen_lattice(tmp_path, capsys))
+    code, out, err = run(capsys, "analyze", target, *option)
+    assert code == 2 and "--theta" in err and out == ""
+
+
 def test_gen_scheme_dimension_mismatch_exits_2(tmp_path, capsys):
     code, _, err = run(
         capsys, "gen", "--n", "2", "--scheme", "s4-family", "-o", str(tmp_path / "x.json")
@@ -154,6 +200,8 @@ def test_verify_exact_gram(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path), "--mode", "exact-gram")
     assert code == 0
     assert "0 (exact)" in out
+    # the certificate covers the lattice regenerated from the file's frame label
+    assert "exact |D - MM|^2 of the regenerated generic-4 lattice: 0 (exact)" in out.splitlines()
 
 
 def test_verify_exact_gram_rejects_nonlattice(tmp_path, capsys):

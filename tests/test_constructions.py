@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from orbitmm.constructions import (
     s4_family,
     s4_family_spec,
     s5_fixture,
-    standard_group,
     standard_sigma_perm,
     strassen_theta,
     strassen_theta_sixths,
     strassen_theta_sixths_spec,
     strassen_theta_spec,
     symmetric_group,
+    _y_of,
 )
 from orbitmm.frames import lift_permutation, simplex_frame
 from orbitmm.tensor import RefusedInput, tensor_of
@@ -55,7 +56,32 @@ def test_group_sizes():
     assert len(symmetric_group(3)) == 6
     assert len(symmetric_group(4)) == 24
     assert len(alternating_group(5)) == 60
-    assert standard_group(2) == symmetric_group(3)
+    assert orbit_spec_for(2).group == symmetric_group(3)
+    assert orbit_spec_for(3).group == symmetric_group(4)
+    assert orbit_spec_for(4).group == alternating_group(5)
+
+
+def _cycle_walk_parity(perm) -> int:
+    # the sign of a permutation from its cycle lengths: the reference for alternating_group
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, clen = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_alternating_group_matches_cycle_walk_parity(k):
+    expected = tuple(p for p in permutations(range(k)) if _cycle_walk_parity(p) == 1)
+    assert alternating_group(k) == expected
 
 
 def test_orbit_spec_validates_group_size():
@@ -111,9 +137,31 @@ def test_standard_uv_products():
 
 
 def test_standard_orbit_refuses_other_n():
-    for build in (orbit_spec_for, standard_group, lambda n: standard_uv(simplex_frame(n))):
+    for build in (orbit_spec_for, lambda n: standard_uv(simplex_frame(n))):
         with pytest.raises(RefusedInput, match="n=5"):
             build(5)
+
+
+def _reference_seed_v(spec):
+    # the seed rule v = (2/3)(sigma y - y) written out, as the builders wrote it
+    # before they took it from constraints.z_from_y; the "v" variants add b*w4
+    sigma = lift_permutation(spec.frame, spec.sigma_perm)
+    if spec.scheme == "strassen-theta":
+        return 2.0 / 3.0 * (sigma @ spec.u - spec.u)
+    which, sign, theta = (spec.params[k] for k in ("which", "sign", "theta"))
+    y = _y_of(theta)
+    z = 2.0 / 3.0 * (sigma @ y - y)
+    return z + sign / (3 * math.sqrt(2)) * np.array([-1.0, -1.0, -1.0]) if which == "v" else z
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [strassen_theta_spec(t) for t in (0.0, 0.3, math.pi / 12, 1.0, -2.5)]
+    + [strassen_theta_sixths_spec(k) for k in (0, 1, 5, 7, 11)]
+    + [s4_family_spec(w, sign, t) for w in "uv" for sign in (-1, 1) for t in (0.0, 0.7, math.pi / 2)],
+)
+def test_seed_v_matches_written_out_rule(spec):
+    assert np.array_equal(spec.v, _reference_seed_v(spec))
 
 
 def test_specs_carry_scheme_and_params():

@@ -9,8 +9,6 @@ import pytest
 from orbitmm.constructions import compose
 from orbitmm.frames import (
     FIXTURE_NAMES,
-    check_tight,
-    corrupt,
     fixture_frame,
     lift_permutation,
     simplex_frame,
@@ -70,19 +68,17 @@ def test_unknown_fixture():
     assert FIXTURE_NAMES == ("triangle-2", "tetrahedron-3", "simplex-4")
 
 
-@pytest.mark.parametrize("n", [2, 6])
-def test_check_tight_clean(n):
-    rep = check_tight(simplex_frame(n))
-    assert rep.max_sum_deviation < 1e-12
-    assert rep.max_identity_deviation < 1e-12
-    assert rep.exact_ok and rep.ok
-    assert all(s == 0 for s in rep.gram_row_sums)
-
-
-def test_check_tight_corrupted():
-    rep = check_tight(corrupt(simplex_frame(2), index=0, scale=1.01))
-    assert max(rep.max_sum_deviation, rep.max_identity_deviation) > 1e-3
-    assert not rep.ok
+@pytest.mark.parametrize(
+    "frame",
+    [simplex_frame(n) for n in range(1, 9)] + [fixture_frame(name) for name in FIXTURE_NAMES],
+    ids=lambda f: f.label,
+)
+def test_tight_frame_identities(frame):
+    # sum_i w_i = 0, (n/(n+1)) sum_i |w_i><w_i| = 1, and exact Gram rows summing to 0
+    n, w = frame.n, frame.vectors
+    assert np.abs(w.sum(axis=0)).max() < 1e-12
+    assert np.abs(n / (n + 1) * (w.T @ w) - np.eye(n)).max() < 1e-12
+    assert all(sum(row) == 0 for row in frame.gram)
 
 
 def test_lift_identity():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from orbitmm.constructions import lattice_decomposition, orbit_decomposition, orbit_spec_for, strassen_theta
-from orbitmm.frames import FIXTURE_NAMES, corrupt, fixture_frame, simplex_frame
+from orbitmm.frames import FIXTURE_NAMES, fixture_frame, simplex_frame
 from orbitmm.tensor import Decomposition, mm_tensor, tensor_of
 from orbitmm.verify import _trace_cube, invariants_report, verify_exact_gram, verify_float
 
@@ -242,14 +242,15 @@ def test_verifiers_agree(n):
 
 def test_verifiers_agree_on_corrupted_frame():
     # rescale one vector and patch the gram to match: both checkers see it
-    bad = corrupt(simplex_frame(3), index=0, scale=1.01)
-    g = bad.gram.copy()
+    frame = simplex_frame(3)
+    vecs, g = frame.vectors.copy(), frame.gram.copy()
+    vecs[0] *= 1.01
     s = Fraction(101, 100)
     g[0, 0] *= s * s
     for j in range(1, 4):
         g[0, j] *= s
         g[j, 0] *= s
-    bad = replace(bad, gram=g)
+    bad = replace(frame, vectors=vecs, gram=g)
     exact = verify_exact_gram(bad)
     rep = verify_float(lattice_decomposition(bad), tol=1e-9)
     assert exact > 0 and not rep.valid
