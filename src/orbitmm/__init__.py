@@ -32,14 +32,12 @@ from .constructions import (
     lattice_decomposition,
     orbit_decomposition,
     orbit_spec_for,
-    standard_uv,
-    s4_family,
     s5_fixture,
     strassen_theta,
     strassen_theta_sixths,
 )
 from .fourier2 import (
-    basis_matrices,
+    BASIS,
     det_identities,
     fourier_coefficients,
     reconstruct,

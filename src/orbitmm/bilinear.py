@@ -305,9 +305,7 @@ class BenchRow:
     max_error: float
 
 
-def benchmark(
-    dec: Decomposition, sizes, cutoff: int = 1, rng=None
-) -> list[BenchRow]:
+def benchmark(dec: Decomposition, sizes, cutoff: int = 1) -> list[BenchRow]:
     """Time the recursive algorithm against the plain product per size.
 
     Reports the executed multiplication count at the given cutoff, the exact
@@ -319,7 +317,7 @@ def benchmark(
         raise RefusedInput(f"benchmark sizes must be >= 2, got {sizes}")
     if dec.rank == 0:
         raise RefusedInput("benchmark needs a decomposition of rank >= 1, got rank 0")
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     rows = []
     for size in sizes:
         A = rng.standard_normal((size, size))

@@ -23,7 +23,6 @@ from .constructions import (
     lattice_decomposition,
     orbit_decomposition,
     orbit_spec_for,
-    s4_family,
     s4_family_spec,
     s5_fixture,
     strassen_theta_sixths_spec,
@@ -80,8 +79,6 @@ def _gen(args) -> int:
     if args.variant is not None and scheme != "s4-family":
         raise UsageError(f"--variant applies to s4-family only, not to --scheme {scheme}")
     if scheme == "lattice":
-        if n < 1:
-            raise UsageError("lattice requires n >= 1")
         dec = lattice_decomposition(simplex_frame(n))
     elif scheme == "orbit":
         dec = orbit_decomposition(orbit_spec_for(n))
@@ -93,7 +90,8 @@ def _gen(args) -> int:
         if n != 3:
             raise UsageError("s4-family requires n = 3")
         which, signch = (args.variant or "u-minus").split("-")
-        dec = s4_family(which, 1 if signch == "plus" else -1, _theta_from_args(args))
+        sign = 1 if signch == "plus" else -1
+        dec = orbit_decomposition(s4_family_spec(which, sign, _theta_from_args(args)))
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown scheme {scheme}")
     save_decomposition(dec, args.output)

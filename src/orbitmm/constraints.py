@@ -45,9 +45,10 @@ def s4_basis() -> dict[str, np.ndarray]:
 
 def _check_order3(sigma: np.ndarray, tol: float = 1e-10):
     n = sigma.shape[0]
-    if np.abs(sigma.T @ sigma - np.eye(n)).max() > tol:
+    # written as "not <=" so that NaN entries fail the bounds too
+    if not np.abs(sigma.T @ sigma - np.eye(n)).max() <= tol:
         raise ValueError("sigma is not orthogonal")
-    if np.abs(np.linalg.matrix_power(sigma, 3) - np.eye(n)).max() > tol:
+    if not np.abs(np.linalg.matrix_power(sigma, 3) - np.eye(n)).max() <= tol:
         raise ValueError("sigma is not of order dividing 3")
 
 
@@ -66,7 +67,7 @@ def z_from_y(y: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """The unique z in the rotation plane of sigma pairing correctly with a
     unit vector y: z = (2/3)(sigma y - y)."""
     _check_order3(sigma)
-    if abs(float(y @ y) - 1.0) > 1e-10:
+    if not abs(float(y @ y) - 1.0) <= 1e-10:  # NaN fails it too
         raise ValueError("y must be a unit vector")
     return 2.0 / 3.0 * (sigma @ y - y)
 

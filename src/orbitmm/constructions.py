@@ -23,7 +23,6 @@ __all__ = [
     "symmetric_group",
     "alternating_group",
     "standard_sigma_perm",
-    "standard_uv",
     "lattice_decomposition",
     "orbit_decomposition",
     "orbit_spec_for",
@@ -32,7 +31,6 @@ __all__ = [
     "strassen_theta_sixths_spec",
     "strassen_theta_sixths",
     "s4_family_spec",
-    "s4_family",
     "S5Fixture",
     "s5_fixture",
 ]
@@ -58,18 +56,12 @@ SQ2, SQ3 = math.sqrt(2), math.sqrt(3)
 
 # The standard orbit, for n = 2, 3, 4 only: its fixture frame, its group of
 # order n^3 - n acting 3-transitively on the n+1 frame indices, and the
-# scales (alpha, beta) of its seed vectors (see standard_uv).
+# scales (alpha, beta) of its seed vectors (see orbit_spec_for).
 _STANDARD_ORBITS = {
     2: ("triangle-2", symmetric_group(3), (1.0, 2.0 / 3.0)),
     3: ("tetrahedron-3", symmetric_group(4), (3.0 / (2.0 * SQ2), 1.0 / SQ2)),
     4: ("simplex-4", alternating_group(5), (math.sqrt(6.0 / 5.0), 2.0 * math.sqrt(2.0 / 15.0))),
 }
-
-
-def _standard_orbit(n: int) -> tuple:
-    if n not in _STANDARD_ORBITS:
-        raise RefusedInput(f"the standard orbit exists for n in {tuple(_STANDARD_ORBITS)}, not for n={n}")
-    return _STANDARD_ORBITS[n]
 
 
 def standard_sigma_perm(k: int) -> tuple:
@@ -99,14 +91,6 @@ class OrbitSpec:
         ident = tuple(range(self.frame.size))
         if compose(self.sigma_perm, compose(self.sigma_perm, self.sigma_perm)) != ident:
             raise ValueError("sigma_perm must have order dividing 3")
-
-
-def standard_uv(frame: Frame) -> tuple[np.ndarray, np.ndarray]:
-    """Seed vectors for the standard orbit solutions, in frame coordinates:
-    u = alpha w1 and v = beta (w2 - w1) with alpha*beta = n/(n+1)."""
-    _, _, (alpha, beta) = _standard_orbit(frame.n)
-    w = frame.vectors
-    return alpha * w[0], beta * (w[1] - w[0])
 
 
 def _with_identity(stacks, scheme: str, params: dict) -> Decomposition:
@@ -150,14 +134,16 @@ def orbit_decomposition(spec: OrbitSpec) -> Decomposition:
     return _with_identity([rho @ m @ rho_t for m in (m1, m2, m3)], spec.scheme, params)
 
 
-def orbit_spec_for(n: int, frame: Frame | None = None) -> OrbitSpec:
-    """The standard orbit construction for n in {2, 3, 4} on the given frame
-    (default: the explicit coordinate fixture for that n)."""
-    fixture, group, _ = _standard_orbit(n)
-    if frame is None:
-        frame = fixture_frame(fixture)
-    u, v = standard_uv(frame)
-    return OrbitSpec(frame, group, standard_sigma_perm(frame.size), u, v)
+def orbit_spec_for(n: int) -> OrbitSpec:
+    """The standard orbit construction for n in {2, 3, 4}, on the explicit
+    coordinate fixture for that n: u = alpha w1 and v = beta (w2 - w1) with
+    alpha*beta = n/(n+1)."""
+    if n not in _STANDARD_ORBITS:
+        raise RefusedInput(f"the standard orbit exists for n in {tuple(_STANDARD_ORBITS)}, not for n={n}")
+    fixture, group, (alpha, beta) = _STANDARD_ORBITS[n]
+    frame = fixture_frame(fixture)
+    w = frame.vectors
+    return OrbitSpec(frame, group, standard_sigma_perm(frame.size), alpha * w[0], beta * (w[1] - w[0]))
 
 
 # Exact values of cos(k*pi/6) for k = 0..11; avoids pi rounding in goldens.
@@ -230,20 +216,13 @@ def s4_family_spec(which: str, sign: int, theta: float) -> OrbitSpec:
     return OrbitSpec(frame, symmetric_group(4), sigma_perm, u, v, "s4-family", params)
 
 
-def s4_family(which: str, sign: int, theta: float) -> Decomposition:
-    """The decomposition of s4_family_spec(which, sign, theta)."""
-    return orbit_decomposition(s4_family_spec(which, sign, theta))
-
-
 @dataclass(frozen=True)
 class S5Fixture:
-    """The explicit n=5 data: the order-3 sigma, the vectors w1, w2 = sigma w1,
-    and the seed pair u = w1, v = (5/6)(w2 - w1).  Used for constraint checks
+    """The explicit n=5 data: the order-3 sigma and the seed pair u (the
+    source's w1) and v = (5/6)(sigma u - u).  Used for constraint checks
     only; the n=5 decomposition itself comes from the lattice construction."""
 
     sigma: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
     u: np.ndarray
     v: np.ndarray
 
@@ -258,6 +237,5 @@ def s5_fixture() -> S5Fixture:
             [0, 0, -SQ3 / 2, 0, -0.5],
         ]
     )
-    w1 = np.array([1.0, SQ2, 0.0, 0.0, SQ2]) / math.sqrt(5)
-    w2 = sigma @ w1
-    return S5Fixture(sigma=sigma, w1=w1, w2=w2, u=w1.copy(), v=5.0 / 6.0 * (w2 - w1))
+    u = np.array([1.0, SQ2, 0.0, 0.0, SQ2]) / math.sqrt(5)
+    return S5Fixture(sigma=sigma, u=u, v=5.0 / 6.0 * (sigma @ u - u))

@@ -14,11 +14,9 @@ from itertools import product
 
 import numpy as np
 
-from .tensor import Decomposition, exact_matrix, is_exact, tensor_of
-
 __all__ = [
     "BASIS_NAMES",
-    "basis_matrices",
+    "BASIS",
     "fourier_coefficients",
     "reconstruct",
     "strassen_equations",
@@ -27,19 +25,17 @@ __all__ = [
 
 BASIS_NAMES = ("1", "pi", "rho_x", "rho_y")
 
-_BASIS_ROWS = {
-    "1": [[1, 0], [0, 1]],
-    "pi": [[0, -1], [1, 0]],
-    "rho_x": [[1, 0], [0, -1]],
-    "rho_y": [[0, -1], [-1, 0]],
-}
-
-
-def basis_matrices(exact: bool = True) -> dict[str, np.ndarray]:
-    """The four pairwise-orthogonal basis matrices, each with <a, a> = 2."""
-    if exact:
-        return {k: exact_matrix(v) for k, v in _BASIS_ROWS.items()}
-    return {k: np.array(v, dtype=np.float64) for k, v in _BASIS_ROWS.items()}
+# The four pairwise-orthogonal basis matrices, each with <a, a> = 2, in
+# BASIS_NAMES order.  Integer entries keep every product in its operand's
+# scalar kind: exact with Fraction operands, float64 with float64 ones.
+BASIS = np.array(
+    [
+        [[1, 0], [0, 1]],
+        [[0, -1], [1, 0]],
+        [[1, 0], [0, -1]],
+        [[0, -1], [-1, 0]],
+    ]
+)
 
 
 def fourier_coefficients(T: np.ndarray) -> dict[tuple[str, str, str], Fraction]:
@@ -50,40 +46,31 @@ def fourier_coefficients(T: np.ndarray) -> dict[tuple[str, str, str], Fraction]:
     """
     if T.shape != (2,) * 6:
         raise ValueError("fourier_coefficients requires an n=2 tensor")
-    exact = is_exact(T)
-    P = np.stack([m.reshape(4) for m in basis_matrices(exact=exact).values()])
     # T over its slots (a,d), (b,e), (c,f); each tensordot contracts the
     # leading slot with the basis and appends that slot's coefficient axis
     C = T.transpose(0, 3, 1, 4, 2, 5).reshape(4, 4, 4)
     for _ in range(3):
-        C = np.tensordot(C, P, axes=(0, 1))
-    C = C / (Fraction(8) if exact else 8.0)
-    return dict(zip(product(BASIS_NAMES, repeat=3), C.flat))
+        C = np.tensordot(C, BASIS.reshape(4, 4), axes=(0, 1))
+    return dict(zip(product(BASIS_NAMES, repeat=3), (C / 8).flat))
 
 
 def reconstruct(coeffs: dict[tuple[str, str, str], Fraction]) -> np.ndarray:
-    """Sum c(a,b,c) * a (x) b (x) c over the full 64-entry table."""
+    """Sum c(a,b,c) * a (x) b (x) c over the full 64-entry table: the change
+    of basis of fourier_coefficients run backwards (without its 1/8)."""
     keys = list(product(BASIS_NAMES, repeat=3))
     missing = [key for key in keys if key not in coeffs]
     if missing:
         raise ValueError(f"coefficient table incomplete, e.g. missing {missing[0]}")
-    exact = any(isinstance(v, Fraction) for v in coeffs.values())
-    basis = basis_matrices(exact=exact)
-    U = np.stack([basis[a] for a, _, _ in keys])
-    V = np.stack([basis[b] for _, b, _ in keys])
-    W = np.stack([coeffs[key] * basis[key[2]] for key in keys])  # the coefficient on the C side
-    return tensor_of(Decomposition(U, V, W))
+    T = np.array([coeffs[key] for key in keys]).reshape(4, 4, 4)
+    for _ in range(3):
+        T = np.tensordot(T, BASIS.reshape(4, 4), axes=(0, 0))
+    # slots (a,d), (b,e), (c,f) back to the index order (a,b,c,d,e,f)
+    return T.reshape((2,) * 6).transpose(0, 2, 4, 1, 3, 5)
 
 
 def _traces(m: np.ndarray):
-    b = basis_matrices(exact=is_exact(m))
-    tr = np.trace
-    return (
-        tr(m),
-        tr(np.dot(b["pi"], m)),
-        tr(np.dot(b["rho_x"], m)),
-        tr(np.dot(b["rho_y"], m)),
-    )
+    """(tr m, tr pi m, tr rho_x m, tr rho_y m)."""
+    return tuple(np.trace(b @ m) for b in BASIS)
 
 
 def strassen_equations(m: np.ndarray) -> tuple[float, float, float, float, float]:

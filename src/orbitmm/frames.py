@@ -37,7 +37,7 @@ class Frame:
     n: int
     vectors: np.ndarray  # shape (n+1, n), float64, rows are the w_i
     gram: np.ndarray  # shape (n+1, n+1), object dtype of Fractions
-    label: str = "generic"
+    label: str
 
     @property
     def size(self) -> int:
@@ -57,7 +57,7 @@ def simplex_frame(n: int) -> Frame:
     """Corners of a regular simplex: project the n+1 standard basis vectors of
     R^{n+1} onto the hyperplane orthogonal to the all-ones vector, normalize."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise RefusedInput(f"a simplex frame needs n >= 1, got n={n}")
     # orthonormal (Helmert) basis of the hyperplane 1^perp in R^{n+1}
     basis = np.zeros((n, n + 1))
     for k in range(1, n + 1):

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Decomposition
+from .tensor import Decomposition, is_exact
 
 __all__ = ["SchemaError", "save_decomposition", "load_decomposition", "save_matrix", "load_matrix"]
 
@@ -55,12 +55,12 @@ def _dump_scalar(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _dump_stack(X: np.ndarray, exact: bool) -> list[list[str]]:
+def _dump_stack(X: np.ndarray) -> list[list[str]]:
     """Each factor of a stack as its row-major list of scalar strings; a
     float factor is formatted by one %-operation over its whole row."""
     entries = X.shape[1] * X.shape[2]
     rows = X.reshape(len(X), entries).tolist()
-    if exact:
+    if is_exact(X):
         return [[_dump_scalar(x) for x in row] for row in rows]
     row_format = " ".join(["%.17g"] * entries)
     return [(row_format % tuple(row)).split(" ") for row in rows]
@@ -70,18 +70,17 @@ def save_decomposition(dec: Decomposition, path) -> None:
     """Write json.dumps(doc, indent=1) byte for byte: the header fields through
     json, then the terms (the last field) laid out by joins, as the tokens of
     `_dump_stack` (digits, sign, ".", "e", "/", inf, nan) need no escaping."""
-    exact = dec.exact
     head = {
         "format_version": FORMAT_VERSION,
         "n": dec.n,
         "scheme": dec.scheme,
         "params": dec.params,
-        "scalar_kind": "rational" if exact else "float64",
+        "scalar_kind": "rational" if dec.exact else "float64",
     }
     side = '   "%s": [\n    "%s"\n   ]'
     terms = ",\n".join(
         "  {\n" + ",\n".join(side % (s, '",\n    "'.join(x)) for s, x in zip("abc", t)) + "\n  }"
-        for t in zip(*(_dump_stack(X, exact) for X in (dec.U, dec.V, dec.W)))
+        for t in zip(*(_dump_stack(X) for X in (dec.U, dec.V, dec.W)))
     )
     # reopen the header's closing "\n}" to append "terms" as its last field
     text = json.dumps(head, indent=1)[:-2] + ',\n "terms": ' + (f"[\n{terms}\n ]" if terms else "[]") + "\n}"
@@ -91,13 +90,13 @@ def save_decomposition(dec: Decomposition, path) -> None:
         raise SchemaError(f"cannot write decomposition file: {e}") from e
 
 
-def _load_stack(rows: list, n: int, exact: bool) -> np.ndarray:
+def _load_stack(rows: list, n: int, kind: str) -> np.ndarray:
     """One side of the file's terms, each a row-major list of n*n scalar
-    strings, as a (rank, n, n) stack."""
+    strings, as a (rank, n, n) stack of the file's scalar kind."""
     for row in rows:
         if len(row) != n * n:
             raise SchemaError(f"matrix has {len(row)} entries, expected {n * n}")
-    if exact:
+    if kind == "rational":
         X = np.array([Fraction(s) for row in rows for s in row], dtype=object)
     else:
         X = _finite(np.array(rows, dtype=np.float64), "float64 matrix")
@@ -122,9 +121,8 @@ def load_decomposition(path) -> Decomposition:
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise SchemaError(f"params must be an object, got {params!r}")
-        exact = kind == "rational"
         terms = doc["terms"]
-        U, V, W = (_load_stack([t[s] for t in terms], n, exact) for s in "abc")
+        U, V, W = (_load_stack([t[s] for t in terms], n, kind) for s in "abc")
         return Decomposition(U, V, W, doc.get("scheme", "imported"), params)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         if isinstance(e, SchemaError):

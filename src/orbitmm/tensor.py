@@ -49,7 +49,6 @@ __all__ = [
     "Rank1Term",
     "Decomposition",
     "MAX_DENSE_BYTES",
-    "exact_matrix",
     "is_exact",
     "mm_support",
     "mm_tensor",
@@ -70,15 +69,6 @@ MAX_DENSE_BYTES = 1 << 30
 def is_exact(arr: np.ndarray) -> bool:
     """True if the array holds exact (Fraction/int) scalars rather than floats."""
     return arr.dtype == object
-
-
-def exact_matrix(rows) -> np.ndarray:
-    """Build an object-dtype matrix of Fractions from nested ints/Fractions/strings."""
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            out[i, j] = Fraction(x)
-    return out
 
 
 class Rank1Term(NamedTuple):

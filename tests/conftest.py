@@ -5,6 +5,11 @@ import numpy as np
 import pytest
 
 
+def exact_matrix(rows) -> np.ndarray:
+    """An object-dtype matrix of Fractions from nested ints, Fractions or strings."""
+    return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
+
+
 def random_exact_matrix(rng: random.Random, n: int, span: int = 6) -> np.ndarray:
     out = np.empty((n, n), dtype=object)
     for i in range(n):

@@ -345,8 +345,8 @@ def test_count_exponent_beats_cubic():
     assert predicted_mult_count(3, 25, size) < size**3
 
 
-def test_benchmark_rows(nprng):
-    rows = benchmark(lattice(2), sizes=[4, 8], cutoff=1, rng=nprng)
+def test_benchmark_rows():
+    rows = benchmark(lattice(2), sizes=[4, 8], cutoff=1)
     assert [r.size for r in rows] == [4, 8]
     for r in rows:
         assert r.max_error < 1e-9
@@ -369,7 +369,7 @@ def test_benchmark_refuses_rank_0():
         benchmark(Decomposition(*np.zeros((3, 0, 2, 2))), sizes=[4], cutoff=1)
 
 
-def test_benchmark_table_formatting(nprng):
-    rows = benchmark(lattice(2), sizes=[4], cutoff=1, rng=nprng)
+def test_benchmark_table_formatting():
+    rows = benchmark(lattice(2), sizes=[4], cutoff=1)
     table = format_bench_table(rows)
     assert "size" in table and "4" in table

@@ -73,6 +73,15 @@ def test_gen_s4_family_without_variant_writes_u_minus(tmp_path, capsys):
     assert plain.read_bytes() == u_minus.read_bytes()
 
 
+def test_gen_s4_family_theta_sixths_matches_theta(tmp_path, capsys):
+    # s4-family reads --theta-sixths k as theta = k*pi/6, unlike strassen-theta's exact trig
+    sixths, theta = tmp_path / "sixths.json", tmp_path / "theta.json"
+    base = ("gen", "--n", "3", "--scheme", "s4-family")
+    assert run(capsys, *base, "--theta-sixths", "3", "-o", str(sixths))[0] == 0
+    assert run(capsys, *base, "--theta", "1.5707963267948966", "-o", str(theta))[0] == 0
+    assert sixths.read_bytes() == theta.read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv,option",
     [
@@ -102,11 +111,16 @@ def test_analyze_refuses_theta_outside_strassen(tmp_path, capsys, target, option
 
 
 def test_gen_scheme_dimension_mismatch_exits_2(tmp_path, capsys):
-    code, _, err = run(
-        capsys, "gen", "--n", "2", "--scheme", "s4-family", "-o", str(tmp_path / "x.json")
-    )
-    assert code == 2
-    assert "error" in err
+    for n, scheme, rule in (("2", "s4-family", "n = 3"), ("3", "strassen-theta", "n = 2")):
+        path = tmp_path / f"{scheme}.json"
+        code, out, err = run(capsys, "gen", "--n", n, "--scheme", scheme, "-o", str(path))
+        assert code == 2 and rule in err and out == "" and not path.exists()
+
+
+def test_gen_lattice_n0_exits_2(tmp_path, capsys):
+    path = tmp_path / "z.json"
+    code, out, err = run(capsys, "gen", "--n", "0", "--scheme", "lattice", "-o", str(path))
+    assert code == 2 and "n >= 1" in err and out == "" and not path.exists()
 
 
 def test_gen_orbit_outside_standard_n_exits_2(tmp_path, capsys):
@@ -455,6 +469,20 @@ def test_multiply_negative_dimensions_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "multiply", str(dec), str(fa), str(fa))
     assert code == 2
     assert "negative dimensions" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [(np.ones((2, 3)), np.ones((2, 3))), (np.eye(2), np.eye(3))],
+    ids=["non-square", "unequal-size"],
+)
+def test_multiply_shape_mismatch_exits_2(tmp_path, capsys, a, b):
+    dec = gen_lattice(tmp_path, capsys)
+    fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+    save_matrix(a, fa)
+    save_matrix(b, fb)
+    code, out, err = run(capsys, "multiply", str(dec), str(fa), str(fb))
+    assert code == 2 and "square and of equal size" in err and out == ""
 
 
 def test_multiply_unwritable_output_exits_2(tmp_path, capsys):

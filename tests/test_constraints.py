@@ -93,6 +93,11 @@ def test_necessary_conditions_rejects_bad_sigma():
         necessary_conditions(np.ones(2), np.ones(2), np.array([[1.0, 0], [0, -1]]))
     with pytest.raises(ValueError):
         necessary_conditions(np.ones(2), np.ones(2), 2 * np.eye(2))
+    # every comparison with NaN is False, so a NaN must fail the bounds, not pass them
+    sigma = triangle_sigma()
+    sigma[0, 0] = math.nan
+    with pytest.raises(ValueError, match="orthogonal"):
+        necessary_conditions(np.ones(2), np.ones(2), sigma)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -127,6 +132,8 @@ def test_z_from_y_fixed_vector():
 def test_z_from_y_requires_unit():
     with pytest.raises(ValueError):
         z_from_y(np.array([2.0, 0.0]), triangle_sigma())
+    with pytest.raises(ValueError, match="unit"):
+        z_from_y(np.array([math.nan, 0.0]), triangle_sigma())
 
 
 def test_s4_constraints_first_family():

@@ -11,8 +11,6 @@ from orbitmm.constructions import (
     lattice_decomposition,
     orbit_decomposition,
     orbit_spec_for,
-    standard_uv,
-    s4_family,
     s4_family_spec,
     s5_fixture,
     standard_sigma_perm,
@@ -105,9 +103,9 @@ def test_orbit_on_fixture_verifies(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_orbit_equals_lattice_entrywise(n):
-    frame = orbit_spec_for(n).frame
-    T_orbit = tensor_of(orbit_decomposition(orbit_spec_for(n, frame)))
-    T_lattice = tensor_of(lattice_decomposition(frame))
+    spec = orbit_spec_for(n)
+    T_orbit = tensor_of(orbit_decomposition(spec))
+    T_lattice = tensor_of(lattice_decomposition(spec.frame))
     assert np.abs(T_orbit - T_lattice).max() < 1e-9
 
 
@@ -123,23 +121,20 @@ def test_orbit_invariant_under_group_reordering():
 
 def test_standard_uv_products():
     for n in (2, 3, 4):
-        f = simplex_frame(n)
-        u, v = standard_uv(f)
+        spec = orbit_spec_for(n)
+        u, v, w = spec.u, spec.v, spec.frame.vectors
         # u = alpha w1, v = beta (w2 - w1) with alpha * beta = n/(n+1)
-        alpha = u @ f.vectors[0]
-        assert np.abs(u - alpha * f.vectors[0]).max() < 1e-12
-        beta = (v @ (f.vectors[1] - f.vectors[0])) / (
-            (f.vectors[1] - f.vectors[0]) @ (f.vectors[1] - f.vectors[0])
-        )
+        alpha = u @ w[0]
+        assert np.abs(u - alpha * w[0]).max() < 1e-12
+        d = w[1] - w[0]
+        beta = (v @ d) / (d @ d)
+        assert np.abs(v - beta * d).max() < 1e-12
         assert abs(alpha * beta - n / (n + 1)) < 1e-12
-    with pytest.raises(ValueError):
-        standard_uv(simplex_frame(5))
 
 
 def test_standard_orbit_refuses_other_n():
-    for build in (orbit_spec_for, lambda n: standard_uv(simplex_frame(n))):
-        with pytest.raises(RefusedInput, match="n=5"):
-            build(5)
+    with pytest.raises(RefusedInput, match="n=5"):
+        orbit_spec_for(5)
 
 
 def _reference_seed_v(spec):
@@ -196,7 +191,7 @@ def test_strassen_theta_pi_over_12_invalid():
 
 
 def test_s4_family_first_matches_known_seed():
-    dec = s4_family("u", -1, 0.0)
+    dec = orbit_decomposition(s4_family_spec("u", -1, 0.0))
     assert verify_float(dec, tol=1e-10).valid
     # the seed rank-1 matrix appears as the first non-identity term
     m = np.array([[-1.0, 1, 0], [1, -1, 0], [1, -1, 0]]) / 2
@@ -205,7 +200,7 @@ def test_s4_family_first_matches_known_seed():
 
 
 def test_s4_family_second_valid():
-    dec = s4_family("v", -1, 2 * math.pi / 3 * 0.75)
+    dec = orbit_decomposition(s4_family_spec("v", -1, 2 * math.pi / 3 * 0.75))
     assert verify_float(dec, tol=1e-10).valid
 
 
@@ -217,20 +212,28 @@ def test_s4_family_second_valid():
     ],
 )
 def test_s4_family_other_branches_valid(which, sign, theta):
-    assert verify_float(s4_family(which, sign, theta), tol=1e-10).valid
+    assert verify_float(orbit_decomposition(s4_family_spec(which, sign, theta)), tol=1e-10).valid
 
 
 def test_s4_family_invalid_theta():
-    rep = verify_float(s4_family("u", -1, 2 * math.pi / 9))
+    rep = verify_float(orbit_decomposition(s4_family_spec("u", -1, 2 * math.pi / 9)))
     assert not rep.valid
     assert rep.max_residual > 0.01
 
 
 def test_s4_family_validates_arguments():
     with pytest.raises(ValueError):
-        s4_family("w", -1, 0.0)
+        s4_family_spec("w", -1, 0.0)
     with pytest.raises(ValueError):
-        s4_family("u", 2, 0.0)
+        s4_family_spec("u", 2, 0.0)
+
+
+def test_specs_refuse_nan_theta():
+    # a NaN theta gives a NaN seed; the seed rule's unit-norm bound refuses it
+    with pytest.raises(ValueError, match="unit"):
+        strassen_theta_spec(math.nan)
+    with pytest.raises(ValueError, match="unit"):
+        s4_family_spec("u", -1, math.nan)
 
 
 def test_s5_fixture_values():
@@ -244,12 +247,14 @@ def test_s5_fixture_values():
 
 
 def test_s5_fixture_seed_pair():
+    # w1 is u and w2 = sigma w1
     fx = s5_fixture()
-    assert np.allclose(fx.w2, fx.sigma @ fx.w1)
+    w1, w2 = fx.u, fx.sigma @ fx.u
+    expected_w1 = np.array([1.0, math.sqrt(2), 0.0, 0.0, math.sqrt(2)]) / math.sqrt(5)
+    assert np.abs(w1 - expected_w1).max() < 1e-12
     expected_w2 = np.array([math.sqrt(2), -1.0, math.sqrt(3), -math.sqrt(3), -1.0]) / math.sqrt(10)
-    assert np.abs(fx.w2 - expected_w2).max() < 1e-12
-    assert abs(fx.w1 @ fx.w2 + 1 / 5) < 1e-12
-    assert np.array_equal(fx.u, fx.w1)
+    assert np.abs(w2 - expected_w2).max() < 1e-12
+    assert abs(w1 @ w2 + 1 / 5) < 1e-12
 
 
 def test_term_enumeration_is_reproducible():
@@ -317,8 +322,8 @@ def test_lattice_matches_per_term_reference(n):
         *((orbit_decomposition(orbit_spec_for(n)), orbit_spec_for(n)) for n in (2, 3, 4)),
         (strassen_theta(math.pi / 12), strassen_theta_spec(math.pi / 12)),
         (strassen_theta_sixths(1), strassen_theta_sixths_spec(1)),
-        (s4_family("u", -1, 0.0), s4_family_spec("u", -1, 0.0)),
-        (s4_family("v", -1, math.pi / 2), s4_family_spec("v", -1, math.pi / 2)),
+        (orbit_decomposition(s4_family_spec("u", -1, 0.0)), s4_family_spec("u", -1, 0.0)),
+        (orbit_decomposition(s4_family_spec("v", -1, math.pi / 2)), s4_family_spec("v", -1, math.pi / 2)),
     ],
     ids=["orbit2", "orbit3", "orbit4", "strassen-pi12", "strassen-sixths1", "s4-first", "s4-second"],
 )

@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 
 from orbitmm.constructions import orbit_decomposition, orbit_spec_for, standard_sigma_perm
 from orbitmm.fourier2 import (
+    BASIS,
     BASIS_NAMES,
-    basis_matrices,
     det_identities,
     fourier_coefficients,
     reconstruct,
     strassen_equations,
 )
 from orbitmm.frames import fixture_frame, lift_permutation
-from orbitmm.tensor import exact_matrix, is_exact, mm_tensor, tensor_of
+from orbitmm.tensor import is_exact, mm_tensor, tensor_of
 
-from conftest import outer3, random_exact_matrix
+from conftest import exact_matrix, outer3, random_exact_matrix
 
 QUARTER = Fraction(1, 4)
 
@@ -46,9 +46,8 @@ GOLDEN = {
 def _reference_fourier_coefficients(T):
     """The 64-term loop that fourier_coefficients replaced: one dense inner
     product with a (x) b (x) c per basis triple."""
-    exact = is_exact(T)
-    basis = basis_matrices(exact=exact)
-    eighth = Fraction(1, 8) if exact else 0.125
+    basis = dict(zip(BASIS_NAMES, BASIS))
+    eighth = Fraction(1, 8) if is_exact(T) else 0.125
     out = {}
     for na in BASIS_NAMES:
         for nb in BASIS_NAMES:
@@ -82,12 +81,10 @@ def test_roundtrip_float_orbit():
 
 
 def test_basis_orthogonality():
-    b = basis_matrices(exact=True)
-    names = list(b)
-    assert tuple(names) == BASIS_NAMES
-    for i, x in enumerate(names):
-        for j, y in enumerate(names):
-            inner = (b[x] * b[y]).sum()
+    assert BASIS.shape == (len(BASIS_NAMES), 2, 2)
+    for i, x in enumerate(BASIS):
+        for j, y in enumerate(BASIS):
+            inner = (x * y).sum()
             assert inner == (2 if i == j else 0)
 
 
@@ -105,7 +102,10 @@ def test_rho_triples_vanish():
 
 def test_roundtrip_exact():
     T = mm_tensor(2, exact=True)
-    assert np.array_equal(reconstruct(fourier_coefficients(T)), T)
+    back = reconstruct(fourier_coefficients(T))
+    # the integer basis keeps the Fraction operands exact
+    assert all(isinstance(x, Fraction) for x in back.flat)
+    assert np.array_equal(back, T)
 
 
 def test_reconstruct_zero():
@@ -116,8 +116,7 @@ def test_reconstruct_zero():
 def test_reconstruct_identity_cube():
     coeffs = {(a, b, c): Fraction(0) for a in BASIS_NAMES for b in BASIS_NAMES for c in BASIS_NAMES}
     coeffs[("1", "1", "1")] = Fraction(1)
-    b = basis_matrices(exact=True)
-    assert np.array_equal(reconstruct(coeffs), outer3(b["1"], b["1"], b["1"]))
+    assert np.array_equal(reconstruct(coeffs), outer3(BASIS[0], BASIS[0], BASIS[0]))
 
 
 def test_reconstruct_requires_full_table():

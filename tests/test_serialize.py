@@ -10,7 +10,7 @@ from orbitmm.constructions import (
     lattice_decomposition,
     orbit_decomposition,
     orbit_spec_for,
-    s4_family,
+    s4_family_spec,
     strassen_theta,
     strassen_theta_sixths,
 )
@@ -101,15 +101,15 @@ def test_dump_stack_matches_per_entry_format(nprng):
     # float factors are pinned to one format(float(x), ".17g") per entry
     special = [0.0, -0.0, 5e-324, 1e300, -1e-300, 1 / 3, 1e16, -5e-324, 2.0**53 + 2]
     X = np.concatenate([special, nprng.standard_normal(27) * 10.0 ** nprng.integers(-300, 300, 27)]).reshape(4, 3, 3)
-    assert _dump_stack(X, False) == [[format(float(x), ".17g") for x in f.flat] for f in X]
-    assert _dump_stack(X, False)[0][:2] == ["0", "-0"]
+    assert _dump_stack(X) == [[format(float(x), ".17g") for x in f.flat] for f in X]
+    assert _dump_stack(X)[0][:2] == ["0", "-0"]
     Q = np.array([Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(5, 7)], dtype=object).reshape(1, 2, 2)
-    assert _dump_stack(Q, True) == [["1/3", "-2/1", "0/1", "5/7"]]
+    assert _dump_stack(Q) == [["1/3", "-2/1", "0/1", "5/7"]]
 
 
 def _json_doc(dec):
     """The document a decomposition file holds, as json would encode it."""
-    a, b, c = (_dump_stack(X, dec.exact) for X in (dec.U, dec.V, dec.W))
+    a, b, c = (_dump_stack(X) for X in (dec.U, dec.V, dec.W))
     return {
         "format_version": 1,
         "n": dec.n,
@@ -125,7 +125,7 @@ WRITER_CASES = {
     **{f"orbit-{n}": (lambda n=n: orbit_decomposition(orbit_spec_for(n))) for n in (2, 3, 4)},
     "strassen-theta-0.3": lambda: strassen_theta(0.3),
     "strassen-theta-sixths": lambda: strassen_theta_sixths(1),
-    "s4-family": lambda: s4_family("u", 1, 0.4),
+    "s4-family": lambda: orbit_decomposition(s4_family_spec("u", 1, 0.4)),
     "rational": _rational_dec,
     "rank-0": lambda: Decomposition(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), scheme="empty"),
     "non-finite": lambda: Decomposition(

@@ -12,7 +12,6 @@ from orbitmm.tensor import (
     MAX_DENSE_BYTES,
     Decomposition,
     Rank1Term,
-    exact_matrix,
     is_exact,
     mm_support,
     mm_tensor,
@@ -20,7 +19,7 @@ from orbitmm.tensor import (
 )
 from orbitmm.verify import invariants_report
 
-from conftest import outer3, random_exact_matrix
+from conftest import exact_matrix, outer3, random_exact_matrix
 
 
 def _reference_mm_tensor(n, exact=False):
@@ -273,9 +272,3 @@ def test_to_float(rng):
     assert not flt.exact and (flt.scheme, flt.params) == (exact.scheme, exact.params)
     for X, Y in zip((flt.U, flt.V, flt.W), (exact.U, exact.V, exact.W)):
         assert X.dtype == np.float64 and np.array_equal(X, Y.astype(np.float64))
-
-
-def test_exact_matrix_values():
-    m = exact_matrix([[1, "1/2"], [0, -2]])
-    assert m[0, 1] == Fraction(1, 2)
-    assert m[1, 1] == Fraction(-2)
