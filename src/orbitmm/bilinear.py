@@ -14,32 +14,37 @@ rank^depth * cutoff_cost overall.  There is one executor, multiply_recursive;
 multiply_via is its one-level case (cutoff 1 at the decomposition's own
 size).
 
-multiply_recursive first copies B once into a recursive block layout (index
-digits ordered i0, j0, i1, j1, ..., row, col), in which the n*n sub-blocks
-of every node form one contiguous (n*n, h*h) stack.  A is only read, so the
-top node gathers its A sides from the caller's A in place, whatever its
-strides, one column panel at a time (only a padded or non-float64 A is
-copied once, to float64).  Each node overwrites its B operand with the
-product, writing every C block once: one GEMM of the B-side factors with
-B's stack forms all rank B-side combinations, after which B's blocks are
-free.  The children's stacks take the last ceil(rank/n^2) of them, and the
-first g = n^2 - ceil(rank/n^2) hold A-side combinations: one GEMM of g
-A-side factor rows with A's stack forms a group of g terms' A sides (g = 2,
-6, 12 for the n = 2, 3, 4 schemes of rank n^3 - n + 1, so A's stack is read
-ceil(rank/g) times, not rank times), and each child multiplies its block
-into its row of the rank stack in place.  One GEMM of the C-side factors
-with the finished stack then writes the node's n*n blocks.  These GEMMs have
-an inner dimension of n*n or rank and rows of up to p^2/n^2 entries, so they
-are bound by memory bandwidth; above PANEL columns each runs in column
-panels of PANEL, on which BLAS runs them up to about twice as fast.  A leaf
-multiplies into scratch by np.matmul and copies the product back.  Each
-child's stack lives in its parent's free blocks, so the one workspace is the
-top node's stack (rank*(p/n)^2 entries) whenever rank <= n^2(n^2-1), as for
-every scheme of rank <= n^3; above that the stacks of all levels follow one
-another in it, and each group is one term.  The result is copied back to
-row-major order once.  So the temporaries of one product peak at B's copy,
-the workspace and the gather buffer: p^2 + rank*(p/n)^2 + min(n^2*PANEL,
-(p/n)^2) entries (2.75 p^2 and a little more for the n = 2 orbit).  The
+multiply_recursive copies B once, row-major, into a fresh p x p array Y
+(zero-filling only the pad when the size is not a power of n), and Y is
+also the result.  A is only read (only a padded or non-float64 A is copied
+once, to float64).  The top node sees both matrices through one panel view
+(_a_panels): in the recursive block layout (index digits ordered i0, j0,
+i1, j1, ..., row, col) its n*n sub-blocks form one (n*n, (p/n)^2) stack,
+read or written one column panel at a time through a small buffer,
+whatever the strides.  Below the top node every stack is contiguous and in
+that layout.  Each node overwrites its B operand with the product, writing
+every C block once: one GEMM of the B-side factors with B's stack forms all
+rank B-side combinations, after which B's blocks are free.  The children's
+stacks take the last ceil(rank/n^2) of them, and the first g = n^2 -
+ceil(rank/n^2) hold A-side combinations: one GEMM of g A-side factor rows
+with A's stack forms a group of g terms' A sides (g = 2, 6, 12 for the
+n = 2, 3, 4 schemes of rank n^3 - n + 1, so A's stack is read ceil(rank/g)
+times, not rank times), and each child multiplies its block into its row of
+the rank stack in place.  One GEMM of the C-side factors with the finished
+stack then writes the node's n*n blocks; at the top node it writes them
+into Y through the same panel view.  These GEMMs have an inner dimension of
+n*n or rank and rows of up to p^2/n^2 entries, so they are bound by memory
+bandwidth; above PANEL columns each runs in column panels of PANEL, on
+which BLAS runs them up to about twice as fast.  A leaf multiplies into
+scratch by np.matmul and copies the product back.  Each child's stack
+lives in its parent's free blocks, so the one workspace S is the top
+node's stack (rank*(p/n)^2 entries) whenever rank <= n^2(n^2-1), as for
+every scheme of rank <= n^3; above that the stacks of all levels follow
+one another in it, and each group is one term.  So the temporaries of one
+product peak at p^2 + rank*(p/n)^2 + min(n^2*PANEL, (p/n)^2) entries: Y
+(B's copy, the top node's free blocks, then C), S, and the buffer of one
+panel (2.75 p^2 and a little more for the n = 2 orbit; a padded A adds its
+p^2 copy).  A padded result is cropped to a copy once S is freed.  The
 factor rows come straight from the decomposition's stacks U, V and W
 (transposed for c^T).
 """
@@ -47,6 +52,7 @@ factor rows come straight from the decomposition's stacks U, V and W
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -121,47 +127,30 @@ def _plan(n: int, size: int, cutoff: int) -> tuple[int, int, int]:
     return padded, depth, leaf
 
 
-def _interleave(depth: int) -> list[int]:
-    """Axis order (i0, j0, i1, j1, ..., row, col) of a matrix reshaped to
-    (i0, ..., i_{depth-1}, row, j0, ..., j_{depth-1}, col)."""
-    return [a for k in range(depth + 1) for a in (k, depth + 1 + k)]
-
-
-def _pad(M: np.ndarray, padded: int) -> np.ndarray:
-    """M zero-padded to padded x padded (a float64 copy), or M itself."""
-    if M.shape[0] == padded:
-        return M
-    P = np.zeros((padded, padded))
-    P[: M.shape[0], : M.shape[1]] = M
+def _padded_copy(M: np.ndarray, padded: int) -> np.ndarray:
+    """A float64 copy of M in a fresh padded x padded array; only the pad
+    is zero-filled."""
+    P = np.empty((padded, padded))
+    s = M.shape[0]
+    P[s:] = 0.0
+    P[:s, s:] = 0.0
+    P[:s, :s] = M
     return P
 
 
-def _layout_view(M: np.ndarray, n: int, depth: int, leaf: int) -> np.ndarray:
-    """A view of the padded M with its axes in block layout order."""
-    digits = (n,) * depth + (leaf,)
-    return M.reshape(digits + digits).transpose(_interleave(depth))
-
-
-def _to_blocks(M: np.ndarray, n: int, padded: int, depth: int, leaf: int) -> np.ndarray:
-    """A fresh copy of M, zero-padded to padded x padded, as a flat float64
-    array in the recursive block layout: each node's n*n sub-blocks are one
-    contiguous (n*n, h*h) stack, itself in that layout, down to row-major
-    leaves.  Always a copy: the executor overwrites it."""
-    X = _layout_view(_pad(M, padded), n, depth, leaf)
-    return np.array(X, dtype=np.float64, order="C").reshape(-1)
-
-
-def _a_panels(A: np.ndarray, n: int, depth: int, leaf: int) -> list[np.ndarray]:
-    """The top node's A stack, (n*n, (p/n)^2) in block layout, as column
-    panels that are views of the padded A: each a slice of one
-    digit axis, whole in every later axis, of at most PANEL and at most
-    (p/n)^2/n^2 columns, so the buffer that gathers a panel never holds
-    more than (p/n)^2 entries.  When a leaf has fewer entries than that
-    limit a panel spans whole groups of leaves, so each copy and GEMM
-    still moves a large panel."""
-    view = _layout_view(A, n, depth, leaf)
+def _a_panels(M: np.ndarray, n: int, depth: int, leaf: int) -> list[np.ndarray]:
+    """The top node's stack of a padded p x p matrix M (A, or Y for B and
+    C), (n*n, (p/n)^2) in block layout, as column panels that are views of
+    M: each a slice of one digit axis, whole in every later axis, of at
+    most PANEL and at most (p/n)^2/n^2 columns, so the buffer that stages a
+    panel never holds more than (p/n)^2 entries.  When a leaf has fewer
+    entries than that limit a panel spans whole groups of leaves, so each
+    copy and GEMM still moves a large panel."""
+    digits = (n,) * depth + (leaf,)  # M reshaped to (i0, ..., row, j0, ..., col)
+    order = [a for k in range(depth + 1) for a in (k, depth + 1 + k)]
+    view = M.reshape(digits + digits).transpose(order)  # (i0, j0, ..., row, col)
     radices = view.shape[2:]
-    limit = max(min(PANEL, A.size // n**4), 1)
+    limit = max(min(PANEL, M.size // n**4), 1)
     axis, width = len(radices) - 1, 1
     while axis and width * radices[axis] <= limit:
         width *= radices[axis]
@@ -173,14 +162,6 @@ def _a_panels(A: np.ndarray, n: int, depth: int, leaf: int) -> list[np.ndarray]:
         for prefix in itertools.product(*map(range, radices[:axis]))
         for s in range(0, radices[axis], step)
     ]
-
-
-def _from_blocks(C: np.ndarray, n: int, size: int, padded: int, depth: int, leaf: int) -> np.ndarray:
-    """Inverse of _to_blocks, cropped to size x size; owns its data."""
-    out = np.empty((padded, padded))
-    view = _layout_view(out, n, depth, leaf)
-    np.copyto(view, C.reshape(view.shape))
-    return out if padded == size else out[:size, :size].copy()
 
 
 def _compile(dec: Decomposition):
@@ -217,6 +198,20 @@ def _gather(M, panels, dst) -> None:
         c += w
 
 
+def _scatter(M, src, panels) -> None:
+    """The mirror of _gather: dst := M @ src, dst given by its column
+    panels, each multiplied into one small buffer and copied out from it."""
+    nn = M.shape[0]
+    buf = np.empty(panels[0].size)
+    c = 0
+    for view in panels:
+        w = view.size // nn
+        G = buf[: view.size]
+        np.matmul(M, src[:, c : c + w], out=G.reshape(nn, w))
+        np.copyto(view, G.reshape(view.shape))
+        c += w
+
+
 def _group_size(rank: int, nn: int) -> int:
     """How many A-side combinations one GEMM forms in Y's free blocks: all
     nn blocks but the ceil(rank/nn) that hold the children's stacks, or 1
@@ -225,11 +220,12 @@ def _group_size(rank: int, nn: int) -> int:
 
 
 def _node(X, Y, S, level, depth, leaf, code, spill) -> int:
-    """Y := X Y, Y flat in block layout and the flat S scratch.  X is only
-    read: flat in block layout too, except at the top node of a product
-    that splits (level 0 < depth), where it is the column panels of its
-    stack in the caller's matrix (see _a_panels).  Returns the
-    number of leaf products made."""
+    """Y := X Y, X only read, Y flat in block layout and the flat S scratch;
+    returns the number of leaf products made.  X is flat in block layout
+    too, except at the top node (level 0), where X is the padded A and Y
+    the padded B, flat in row-major order: when the product splits, that
+    node reads A's and B's stacks and writes C's through column panels (see
+    _a_panels), and uses Y's memory as its free blocks in between."""
     if level == depth:
         T = S[: leaf * leaf]
         np.matmul(X.reshape(leaf, leaf), Y.reshape(leaf, leaf), out=T.reshape(leaf, leaf))
@@ -240,17 +236,21 @@ def _node(X, Y, S, level, depth, leaf, code, spill) -> int:
     Ys = Y.reshape(nn, -1)
     hh = Ys.shape[1]
     St = S[: rank * hh].reshape(rank, hh)
-    _panels(V, Ys, St)  # every term's B side; Y's blocks are free from here
+    if level:
+        read, write, Xs, Yp = _panels, _panels, X.reshape(nn, -1), Ys
+    else:
+        n = math.isqrt(nn)
+        read, write, Xs, Yp = _gather, _scatter, _a_panels(X, n, depth, leaf), _a_panels(Y, n, depth, leaf)
+    read(V, Yp, St)  # every term's B side; Y's blocks are free from here
     g = _group_size(rank, nn)
     child = S[rank * hh :] if spill else Ys[g:].reshape(-1)
-    a_sides, Xs = (_panels, X.reshape(nn, -1)) if level else (_gather, X)
     leaves = 0
     for t0 in range(0, rank, g):
         k = min(g, rank - t0)
-        a_sides(U[t0 : t0 + k], Xs, Ys[:k])  # A sides of k terms, one pass over X
+        read(U[t0 : t0 + k], Xs, Ys[:k])  # A sides of k terms, one pass over X
         for j in range(k):
             leaves += _node(Ys[j], St[t0 + j], child, level + 1, depth, leaf, code, spill)
-    _panels(Wt, St, Ys)  # each C block written once
+    write(Wt, St, Yp)  # each C block written once
     return leaves
 
 
@@ -266,19 +266,18 @@ def multiply_recursive(
     padded, depth, leaf = _plan(n, size, cutoff)
     t0 = time.perf_counter()
     # A is only read: the caller's own matrix unless it must be padded or
-    # converted, and the top node gathers its A sides from it in place
-    A = np.asarray(_pad(A, padded), dtype=np.float64)
-    X = _a_panels(A, n, depth, leaf) if depth else A
-    Y = _to_blocks(B, n, padded, depth, leaf)
+    # converted.  Y is B's copy, the top node's free blocks and the result.
+    A = np.asarray(A, dtype=np.float64) if padded == size else _padded_copy(A, padded)
+    Y = _padded_copy(B, padded)
     # a child's stack fits in its parent's n*n - 1 free blocks unless
     # rank > n^2(n^2-1); then every level's stack and the leaf's scratch
     # follow one another in the workspace
     spill = rank > n * n * (n * n - 1)
     stacks = [rank * (padded // n ** (level + 1)) ** 2 for level in range(depth)]
     S = np.empty(sum(stacks) + leaf * leaf if spill or not depth else stacks[0])
-    leaves = _node(X, Y, S, 0, depth, leaf, _compile(dec), spill)
-    del A, X, S  # free any converted copy of A and the workspace before the copy back
-    result = _from_blocks(Y, n, size, padded, depth, leaf)
+    leaves = _node(A, Y.reshape(-1), S, 0, depth, leaf, _compile(dec), spill)
+    del A, S  # free any converted copy of A and the workspace before cropping
+    result = Y if padded == size else Y[:size, :size].copy()
     wall = time.perf_counter() - t0
     return MulReport(
         result=result,

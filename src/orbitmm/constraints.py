@@ -95,6 +95,6 @@ def s4_constraints(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
 def transpose_transform(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """tau^{-1} m^T tau.  If m seeds a valid orbit decomposition and
     tau^{-1} sigma tau = sigma^{-1}, the transformed matrix does too."""
-    if abs(np.linalg.det(tau)) < 1e-12:
+    if not (abs(np.linalg.det(tau)) >= 1e-12):  # NaN fails too
         raise ValueError("tau must be invertible")
     return np.linalg.solve(tau, m.T) @ tau

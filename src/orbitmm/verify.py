@@ -7,8 +7,10 @@ verify_exact_gram never touches coordinates: it evaluates the squared norm
 |D - MM|^2 for the lattice construction purely from the frame's exact
 rational Gram matrix, returning a Fraction that is 0 iff D = MM.  Its sums
 over (pairs of) lattice terms are three traces of cubes of integer matrices,
-tr(X^3) = ((X @ X) * X.T).sum(): float64 GEMMs when d^3 max|X|^3 < 2^53
-(every partial sum is then an exactly held integer), Python ints otherwise.
+tr(X^3) = ((X @ X) * X.T).sum(), all run as float64 GEMMs: X is split into
+base-beta limbs small enough that every partial sum is an exactly held
+integer (one limb when d^3 max|X|^3 < 2^53), and the limbs' traces are
+combined as Python ints.
 invariants_report reads its three invariants from one dense tensor T: the
 operator trace as einsum("abcabc->", T), <D, MM> as the sum of
 mm_support(T) and <D, D> as (T * T).sum(); it computes its factor ranks
@@ -17,6 +19,7 @@ only when they are read.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,12 +56,24 @@ def verify_float(dec: Decomposition, tol: float = DEFAULT_TOL) -> VerifyReport:
 
 
 def _trace_cube(X: np.ndarray) -> int:
-    """tr(X^3) = ((X @ X) * X.T).sum() of a square integer matrix, exactly:
-    every partial sum is at most d^3 m^3 (d = len(X), m = max|X|), so below
-    2^53 float64 BLAS holds them all; above it, Python ints in object arrays."""
-    d, m = len(X), int(abs(X).max())
-    X = X.astype(np.float64 if d**3 * m**3 < 2**53 else object)
-    return int(((X @ X) * X.T).sum())
+    """tr(X^3) of a square integer matrix (int64 or Python ints), exactly, by
+    float64 BLAS.  With beta - 1 the largest b with d^3 b^3 < 2^53 (d = len(X)),
+    X = sum_i beta^i X_i: the lower limbs are X's base-beta digits (floor
+    division) and the top limb the signed rest, each below beta in magnitude,
+    so every partial sum of tr(X_i X_j X_k) = ((X_i @ X_j) * X_k.T).sum() is an
+    exactly held integer; the terms beta^(i+j+k) tr(X_i X_j X_k) are summed as
+    Python ints.  One limb, X itself, when d^3 max|X|^3 < 2^53."""
+    beta = 208063 // len(X) + 1  # 208063^3 < 2^53 <= 208064^3
+    limbs, rest = [], X
+    while abs(rest).max() >= beta:
+        limbs.append((rest % beta).astype(np.float64))
+        rest = rest // beta
+    limbs.append(rest.astype(np.float64))
+    total = 0
+    for (i, Xi), (j, Xj) in itertools.product(enumerate(limbs), repeat=2):
+        P = Xi @ Xj
+        total += sum(int((P * Xk.T).sum()) * beta ** (i + j + k) for k, Xk in enumerate(limbs))
+    return total
 
 
 def verify_exact_gram(frame: Frame) -> Fraction:

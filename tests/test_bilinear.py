@@ -266,10 +266,12 @@ def test_recursive_leaves_inputs_unchanged(name, size, cutoff, nprng):
 
 def _peak_within_law(dec, A, B, cutoff):
     """Run one product under tracemalloc and check its peak against the
-    law: the block-layout copy of B, the top node's stack of rank (p/n)^2
-    entries and the buffer that gathers the top node's A sides from the
-    caller's A, n^2 rows of at most PANEL and (p/n)^2/n^2 entries; every
-    child's stack lives in its parent's free blocks."""
+    law: the p x p copy of B that becomes the result, the top node's stack
+    of rank (p/n)^2 entries and the buffer that stages one column panel of
+    the top node's A, B or C, n^2 rows of at most PANEL and (p/n)^2/n^2
+    entries; every child's stack lives in its parent's free blocks.  A
+    size that is not a power of n adds one p^2: A is copied once, padded,
+    since the top node's panels are views of a p x p matrix."""
     multiply_recursive(dec, A, B, cutoff=cutoff)  # warm up numpy's caches
     tracemalloc.start()
     try:
@@ -278,14 +280,19 @@ def _peak_within_law(dec, A, B, cutoff):
     finally:
         tracemalloc.stop()
     assert rep.recursion_depth >= 2
-    size = A.shape[0]
-    block = (size // dec.n) ** 2
-    assert peak <= 8 * (size**2 + dec.rank * block + min(dec.n**2 * PANEL, block)) + 64 * 1024
+    size, p = A.shape[0], 1
+    while p < size:
+        p *= dec.n
+    copies = 1 if p == size else 2
+    block = (p // dec.n) ** 2
+    assert peak <= 8 * (copies * p**2 + dec.rank * block + min(dec.n**2 * PANEL, block)) + 64 * 1024
 
 
-@pytest.mark.parametrize("name,size,cutoff", [("orbit2", 512, 64), ("lattice3", 243, 27), ("lattice3", 729, 27)])
+@pytest.mark.parametrize("name,size,cutoff", [
+    ("orbit2", 512, 64), ("lattice3", 243, 27), ("lattice3", 729, 27), ("orbit2", 500, 64), ("lattice3", 244, 27),
+])
 def test_recursive_peak_memory(name, size, cutoff, nprng):
-    # a copy of A would exceed the law at every size here
+    # a copy of A would exceed the law at every unpadded size here
     A, B = nprng.standard_normal((2, size, size))
     _peak_within_law(EXECUTOR_DECS[name](), A, B, cutoff)
 

@@ -204,6 +204,10 @@ def test_transpose_transform_involution():
 def test_transpose_transform_rejects_singular():
     with pytest.raises(ValueError):
         transpose_transform(np.eye(2), np.zeros((2, 2)))
+    tau = np.eye(3)
+    tau[0, 0] = np.nan  # a NaN determinant fails the bound too
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="invertible"):
+        transpose_transform(np.eye(3), tau)
 
 
 @pytest.mark.parametrize("n", [2, 3])

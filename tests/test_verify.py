@@ -227,6 +227,30 @@ def test_trace_cube_takes_python_ints_for_large_entries():
     assert _trace_cube(X) == _loop_trace_cube(X)
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 12, 30])
+@pytest.mark.parametrize("bits", [4, 16, 30, 52, 62, 100, 200])
+def test_trace_cube_matches_python_ints(d, bits):
+    # random signed entries of up to `bits` bits, on both sides of the
+    # float64 bound d^3 max|X|^3 < 2^53; int64 where they fit, Python ints above
+    rnd = random.Random(bits * 100 + d)
+    X = np.array([[rnd.choice((-1, 1)) * rnd.getrandbits(bits) for _ in range(d)] for _ in range(d)], dtype=object)
+    X[0, 0] = 2**bits - 1  # the largest entry of that width
+    if bits <= 62:
+        X = X.astype(np.int64)
+    expected = _loop_trace_cube(X)
+    assert _trace_cube(X) == expected and _trace_cube(-X) == -expected
+    m = int(abs(X).max())
+    if d**3 * m**3 < 2**53:  # one limb: the plain float64 product, exact
+        F = X.astype(np.float64)
+        assert int(((F @ F) * F.T).sum()) == expected
+
+
+def test_exact_gram_n22_is_fast():
+    t0 = time.process_time()
+    assert verify_exact_gram(simplex_frame(22)) == 0
+    assert time.process_time() - t0 < 1.0
+
+
 def test_exact_gram_n16_is_fast():
     t0 = time.process_time()
     assert verify_exact_gram(simplex_frame(16)) == 0
