@@ -24,29 +24,35 @@ read or written one column panel at a time through a small buffer,
 whatever the strides.  Below the top node every stack is contiguous and in
 that layout.  Each node overwrites its B operand with the product, writing
 every C block once: one GEMM of the B-side factors with B's stack forms all
-rank B-side combinations, after which B's blocks are free.  The children's
-stacks take the last ceil(rank/n^2) of them, and the first g = n^2 -
-ceil(rank/n^2) hold A-side combinations: one GEMM of g A-side factor rows
-with A's stack forms a group of g terms' A sides (g = 2, 6, 12 for the
-n = 2, 3, 4 schemes of rank n^3 - n + 1, so A's stack is read ceil(rank/g)
-times, not rank times), and each child multiplies its block into its row of
-the rank stack in place.  One GEMM of the C-side factors with the finished
-stack then writes the node's n*n blocks; at the top node it writes them
-into Y through the same panel view.  These GEMMs have an inner dimension of
-n*n or rank and rows of up to p^2/n^2 entries, so they are bound by memory
-bandwidth; above PANEL columns each runs in column panels of PANEL, on
-which BLAS runs them up to about twice as fast.  A leaf multiplies into
-scratch by np.matmul and copies the product back.  Each child's stack
-lives in its parent's free blocks, so the one workspace S is the top
-node's stack (rank*(p/n)^2 entries) whenever rank <= n^2(n^2-1), as for
-every scheme of rank <= n^3; above that the stacks of all levels follow
-one another in it, and each group is one term.  So the temporaries of one
-product peak at p^2 + rank*(p/n)^2 + min(n^2*PANEL, (p/n)^2) entries: Y
-(B's copy, the top node's free blocks, then C), S, and the buffer of one
-panel (2.75 p^2 and a little more for the n = 2 orbit; a padded A adds its
-p^2 copy).  A padded result is cropped to a copy once S is freed.  The
-factor rows come straight from the decomposition's stacks U, V and W
-(transposed for c^T).
+rank B-side combinations, after which B's blocks are free.  Above the leaf
+parent (the node whose children are leaves) the children's stacks take the
+last ceil((rank+1)/n^2) of them, and the first g = n^2 - ceil((rank+1)/n^2)
+hold A-side combinations: one GEMM of g A-side factor rows with A's stack
+forms a group of g terms' A sides (g = 2, 6, 12 for the n = 2, 3, 4 schemes
+of rank n^3 - n + 1, so A's stack is read ceil(rank/g) times, not rank
+times), and each child multiplies its block into its row of the rank stack
+in place.  The leaf parent keeps no room for its children: it forms its A
+sides n^2 at a time in all of B's blocks, and its stack has one slack block
+ahead of the rank B sides, so leaf t multiplies (np.matmul) straight into
+block t, the B side of term t - 1, used by then.  No leaf needs scratch or
+copies its product back, but the one leaf of a depth-0 product.  One GEMM
+of the C-side factors with the first rank blocks of the finished stack then
+writes the node's n*n blocks; at the top node it writes them into Y through
+the same panel view.  These GEMMs have an inner dimension of n*n or rank
+and rows of up to p^2/n^2 entries, so they are bound by memory bandwidth;
+above PANEL columns each runs in column panels of PANEL, on which BLAS runs
+them up to about twice as fast.  Each child's stack lives in its parent's
+free blocks, so the one workspace S is the top node's stack whenever
+rank + 1 <= n^2(n^2-1), as for every scheme of rank <= n^3; above that the
+stacks of all levels follow one another in it, and each group above the
+leaf parent is one term.  So the temporaries of one product peak at
+p^2 + rank*(p/n)^2 + min(n^2*PANEL, (p/n)^2) entries: Y (B's copy, the top
+node's free blocks, then C), S, and the buffer of one panel; at depth 1,
+where the top node is the leaf parent, S has rank + 1 blocks of (p/n)^2.
+That is 2.75 p^2 and a little more for the n = 2 orbit at depth >= 2, and
+a padded A adds its p^2 copy.  A padded result is cropped to a copy once S
+is freed.  The factor rows come straight from the decomposition's stacks U,
+V and W (transposed for c^T).
 """
 
 from __future__ import annotations
@@ -213,10 +219,11 @@ def _scatter(M, src, panels) -> None:
 
 
 def _group_size(rank: int, nn: int) -> int:
-    """How many A-side combinations one GEMM forms in Y's free blocks: all
-    nn blocks but the ceil(rank/nn) that hold the children's stacks, or 1
-    when those stacks spill (rank > nn(nn - 1))."""
-    return max(nn + (-rank // nn), 1)
+    """How many A-side combinations one GEMM forms in Y's free blocks above
+    the leaf parent: all nn blocks but the ceil((rank + 1)/nn) that hold the
+    children's stacks (a leaf parent's stack has rank + 1 blocks), or 1 when
+    those stacks spill (rank + 1 > nn(nn - 1))."""
+    return max(nn + (-(rank + 1) // nn), 1)
 
 
 def _node(X, Y, S, level, depth, leaf, code, spill) -> int:
@@ -225,8 +232,11 @@ def _node(X, Y, S, level, depth, leaf, code, spill) -> int:
     too, except at the top node (level 0), where X is the padded A and Y
     the padded B, flat in row-major order: when the product splits, that
     node reads A's and B's stacks and writes C's through column panels (see
-    _a_panels), and uses Y's memory as its free blocks in between."""
-    if level == depth:
+    _a_panels), and uses Y's memory as its free blocks in between.  The
+    leaf parent (level depth - 1) runs its leaves itself: its stack has one
+    slack block ahead of the B sides, and leaf t writes its product into
+    block t, the B side of term t - 1, already used."""
+    if level == depth:  # depth 0 only: deeper leaves are run by their parent
         T = S[: leaf * leaf]
         np.matmul(X.reshape(leaf, leaf), Y.reshape(leaf, leaf), out=T.reshape(leaf, leaf))
         Y[:] = T
@@ -235,23 +245,30 @@ def _node(X, Y, S, level, depth, leaf, code, spill) -> int:
     rank, nn = V.shape
     Ys = Y.reshape(nn, -1)
     hh = Ys.shape[1]
-    St = S[: rank * hh].reshape(rank, hh)
+    slack = int(level == depth - 1)  # 1 at the leaf parent
+    Sx = S[: (rank + slack) * hh].reshape(rank + slack, hh)
     if level:
         read, write, Xs, Yp = _panels, _panels, X.reshape(nn, -1), Ys
     else:
         n = math.isqrt(nn)
         read, write, Xs, Yp = _gather, _scatter, _a_panels(X, n, depth, leaf), _a_panels(Y, n, depth, leaf)
-    read(V, Yp, St)  # every term's B side; Y's blocks are free from here
-    g = _group_size(rank, nn)
-    child = S[rank * hh :] if spill else Ys[g:].reshape(-1)
+    read(V, Yp, Sx[slack:])  # every term's B side; Y's blocks are free from here
+    if slack:
+        g, Ya, L = nn, Ys.reshape(nn, leaf, leaf), Sx.reshape(rank + 1, leaf, leaf)
+    else:
+        g = _group_size(rank, nn)
+        child = S[rank * hh :] if spill else Ys[g:].reshape(-1)
     leaves = 0
     for t0 in range(0, rank, g):
         k = min(g, rank - t0)
         read(U[t0 : t0 + k], Xs, Ys[:k])  # A sides of k terms, one pass over X
         for j in range(k):
-            leaves += _node(Ys[j], St[t0 + j], child, level + 1, depth, leaf, code, spill)
-    write(Wt, St, Yp)  # each C block written once
-    return leaves
+            if slack:  # the product lands one block before its B side
+                np.matmul(Ya[j], L[t0 + j + 1], out=L[t0 + j])
+            else:
+                leaves += _node(Ys[j], Sx[t0 + j], child, level + 1, depth, leaf, code, spill)
+    write(Wt, Sx[:rank], Yp)  # each C block written once
+    return rank if slack else leaves
 
 
 def multiply_recursive(
@@ -270,11 +287,12 @@ def multiply_recursive(
     A = np.asarray(A, dtype=np.float64) if padded == size else _padded_copy(A, padded)
     Y = _padded_copy(B, padded)
     # a child's stack fits in its parent's n*n - 1 free blocks unless
-    # rank > n^2(n^2-1); then every level's stack and the leaf's scratch
-    # follow one another in the workspace
-    spill = rank > n * n * (n * n - 1)
-    stacks = [rank * (padded // n ** (level + 1)) ** 2 for level in range(depth)]
-    S = np.empty(sum(stacks) + leaf * leaf if spill or not depth else stacks[0])
+    # rank + 1 > n^2(n^2-1); then every level's stack follows the one above
+    # it in the workspace.  The leaf parent's stack has rank + 1 blocks, and
+    # a depth-0 product needs one leaf of scratch.
+    spill = rank + 1 > n * n * (n * n - 1)
+    stacks = [(rank + (level == depth - 1)) * (padded // n ** (level + 1)) ** 2 for level in range(depth)]
+    S = np.empty(leaf * leaf if not depth else sum(stacks) if spill else stacks[0])
     leaves = _node(A, Y.reshape(-1), S, 0, depth, leaf, _compile(dec), spill)
     del A, S  # free any converted copy of A and the workspace before cropping
     result = Y if padded == size else Y[:size, :size].copy()

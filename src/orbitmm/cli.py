@@ -122,7 +122,7 @@ def _verify(args) -> int:
         file_dev = float(np.abs(dev, out=dev).max())
         valid = residual == 0 and file_dev < args.tol
         if args.json:
-            print(json.dumps({"mode": "exact-gram", "residual": str(residual), "file_deviation": file_dev, "valid": valid, "invariants": _inv_record(inv)}))
+            _print_json({"mode": "exact-gram", "residual": str(residual), "file_deviation": file_dev, "valid": valid, "invariants": _inv_record(inv)})
         else:
             shown = "0 (exact)" if residual == 0 else str(residual)
             print(f"exact |D - MM|^2 of the regenerated {label} lattice: {shown}")
@@ -131,13 +131,19 @@ def _verify(args) -> int:
                 print(line)
         return 0 if valid else 1
     if args.json:
-        print(json.dumps({"mode": "float", "residual": rep.max_residual, "valid": rep.valid, "invariants": _inv_record(inv)}))
+        _print_json({"mode": "float", "residual": rep.max_residual, "valid": rep.valid, "invariants": _inv_record(inv)})
     else:
         for line in rep.lines():
             print(line)
         for line in inv.lines():
             print(line)
     return 0 if rep.valid else 1
+
+
+def _print_json(doc) -> None:
+    """Print doc as strict JSON, which has no NaN or Infinity: one round
+    trip through the parser writes each non-finite float as null."""
+    print(json.dumps(json.loads(json.dumps(doc), parse_constant=lambda _: None), allow_nan=False))
 
 
 def _inv_record(inv) -> dict:
@@ -216,7 +222,7 @@ def _bench(args) -> int:
         raise UsageError("--sizes entries must be >= 2")
     rows = benchmark(dec, sizes, cutoff=args.cutoff)
     if args.json:
-        print(json.dumps([dataclasses.asdict(r) for r in rows]))
+        _print_json([dataclasses.asdict(r) for r in rows])
     else:
         print(format_bench_table(rows))
     return 0

@@ -57,13 +57,15 @@ def _dump_scalar(x) -> str:
 
 def _dump_stack(X: np.ndarray) -> list[list[str]]:
     """Each factor of a stack as its row-major list of scalar strings; a
-    float factor is formatted by one %-operation over its whole row."""
-    entries = X.shape[1] * X.shape[2]
-    rows = X.reshape(len(X), entries).tolist()
+    float stack formats each distinct bit pattern once, by one %-operation
+    over all of them, and indexes the strings back."""
+    shape = (len(X), X.shape[1] * X.shape[2])
     if is_exact(X):
-        return [[_dump_scalar(x) for x in row] for row in rows]
-    row_format = " ".join(["%.17g"] * entries)
-    return [(row_format % tuple(row)).split(" ") for row in rows]
+        return [[_dump_scalar(x) for x in row] for row in X.reshape(shape).tolist()]
+    bits, where = np.unique(np.ascontiguousarray(X, dtype=np.float64).view(np.int64), return_inverse=True)
+    values = bits.view(np.float64).tolist()
+    strings = (" ".join(["%.17g"] * len(values)) % tuple(values)).split(" ")
+    return np.array(strings, dtype=object)[where.reshape(shape)].tolist()
 
 
 def save_decomposition(dec: Decomposition, path) -> None:

@@ -194,7 +194,18 @@ EXECUTOR_CASES = {
     "lattice3": [(3, 3, 0), (5, 9, 0), (5, 3, 1), (10, 3, 2), (17, 1, 3), (729, 81, 2)],
     "lattice4": [(4, 4, 0), (3, 16, 0), (5, 4, 1), (10, 1, 2), (256, 16, 2)],
 }
+
+
+def naive2():
+    """The rank-8 n=2 scheme a = E_ij, b = E_jk, c = E_ki, whose rank n^2
+    divides."""
+    E = np.eye(4).reshape(4, 2, 2)  # E[2i + j] = E_ij
+    i, j, k = np.indices((2, 2, 2)).reshape(3, -1)
+    return Decomposition(E[2 * i + j], E[2 * j + k], E[2 * k + i])
+
+
 EXECUTOR_DECS = {
+    "naive2": naive2,
     "orbit2": lambda: orbit_decomposition(orbit_spec_for(2)),
     "lattice3": lambda: lattice(3),
     "lattice4": lambda: lattice(4),
@@ -225,10 +236,12 @@ def test_recursive_matches_reference(name, kind, nprng):
         assert np.abs(rep.result - A @ B).max() <= 1e-12 * scale
 
 
-# (n, rank, A-side group size): the n^2 blocks of Y less the ceil(rank/n^2)
-# that hold the children's stacks, and 1 for rank 13 > n^2(n^2-1), whose
-# stacks spill into the workspace
-@pytest.mark.parametrize("n,rank,g", [(2, 7, 2), (3, 25, 6), (4, 61, 12), (2, 13, 1)])
+# (n, rank, A-side group size) above the leaf parent: the n^2 blocks of Y
+# less the ceil((rank + 1)/n^2) that hold the children's stacks (a leaf
+# parent's stack has one slack block), so 1 for rank 8, which n^2 divides,
+# and for ranks 12 and 13, whose rank + 1 > n^2(n^2-1) spills the stacks
+# into the workspace
+@pytest.mark.parametrize("n,rank,g", [(2, 7, 2), (3, 25, 6), (4, 61, 12), (2, 13, 1), (2, 8, 1), (2, 12, 1)])
 def test_group_size(n, rank, g):
     assert _group_size(rank, n * n) == g
 
@@ -267,7 +280,8 @@ def test_recursive_leaves_inputs_unchanged(name, size, cutoff, nprng):
 def _peak_within_law(dec, A, B, cutoff):
     """Run one product under tracemalloc and check its peak against the
     law: the p x p copy of B that becomes the result, the top node's stack
-    of rank (p/n)^2 entries and the buffer that stages one column panel of
+    of rank (p/n)^2 entries (rank + 1 blocks at depth 1, where the top node
+    is the leaf parent) and the buffer that stages one column panel of
     the top node's A, B or C, n^2 rows of at most PANEL and (p/n)^2/n^2
     entries; every child's stack lives in its parent's free blocks.  A
     size that is not a power of n adds one p^2: A is copied once, padded,
@@ -279,17 +293,19 @@ def _peak_within_law(dec, A, B, cutoff):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.recursion_depth >= 2
+    assert rep.recursion_depth >= 1
     size, p = A.shape[0], 1
     while p < size:
         p *= dec.n
     copies = 1 if p == size else 2
     block = (p // dec.n) ** 2
-    assert peak <= 8 * (copies * p**2 + dec.rank * block + min(dec.n**2 * PANEL, block)) + 64 * 1024
+    stack = dec.rank + (rep.recursion_depth == 1)
+    assert peak <= 8 * (copies * p**2 + stack * block + min(dec.n**2 * PANEL, block)) + 64 * 1024
 
 
 @pytest.mark.parametrize("name,size,cutoff", [
     ("orbit2", 512, 64), ("lattice3", 243, 27), ("lattice3", 729, 27), ("orbit2", 500, 64), ("lattice3", 244, 27),
+    ("naive2", 512, 64), ("orbit2", 512, 256), ("lattice3", 243, 81),
 ])
 def test_recursive_peak_memory(name, size, cutoff, nprng):
     # a copy of A would exceed the law at every unpadded size here
@@ -318,6 +334,29 @@ def test_recursive_rank_above_free_blocks(nprng):
         ref, mults, depth = _reference_recursive(dec, A, B, cutoff=cutoff)
         assert rep.recursion_depth == depth == 3
         assert rep.scalar_multiplications == mults == predicted_mult_count(2, 13, size, cutoff)
+        scale = float(np.abs(A @ B).max())
+        assert np.abs(rep.result - A @ B).max() <= 1e-12 * scale
+        assert np.abs(rep.result - ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("rank", [8, 12])
+def test_recursive_ranks_that_squeeze_the_group(rank, nprng):
+    # n^2 divides rank 8, so the leaf parent's slack block takes a third
+    # free block of its parent and leaves one for A sides; rank 12 =
+    # n^2(n^2 - 1) is the naive scheme plus two cancelling pairs, and with
+    # the slack block its children's stacks spill into the workspace
+    naive = naive2()
+    a, b, c = nprng.standard_normal((3, (rank - 8) // 2, 2, 2))
+    dec = Decomposition(
+        np.concatenate([naive.U, a, a]), np.concatenate([naive.V, b, b]), np.concatenate([naive.W, c, -c])
+    )
+    assert dec.rank == rank
+    for size, cutoff, depth in [(8, 4, 1), (5, 4, 1), (8, 2, 2), (6, 2, 2), (8, 1, 3), (40, 8, 3)]:
+        A, B = nprng.standard_normal((2, size, size))
+        rep = multiply_recursive(dec, A, B, cutoff=cutoff)
+        ref, mults, ref_depth = _reference_recursive(dec, A, B, cutoff=cutoff)
+        assert rep.recursion_depth == ref_depth == depth
+        assert rep.scalar_multiplications == mults == predicted_mult_count(2, rank, size, cutoff)
         scale = float(np.abs(A @ B).max())
         assert np.abs(rep.result - A @ B).max() <= 1e-12 * scale
         assert np.abs(rep.result - ref).max() <= 1e-12 * scale

@@ -522,6 +522,40 @@ def test_bench_json(tmp_path, capsys):
     )
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def overflowing_lattice(tmp_path, capsys):
+    """The n=2 lattice with two 1e200 entries: its dense tensor and its
+    recursive products overflow to inf and NaN, which JSON cannot hold."""
+    path = gen_lattice(tmp_path, capsys)
+    dec = load_decomposition(path)
+    dec.U[0, 0, 0] = dec.V[0, 0, 0] = 1e200
+    save_decomposition(dec, path)
+    return path
+
+
+def test_verify_json_is_strict(tmp_path, capsys):
+    # a non-finite figure prints as null; the keys stay as pinned
+    path = overflowing_lattice(tmp_path, capsys)
+    with np.errstate(all="ignore"):
+        code, out, _ = run(capsys, "verify", str(path), "--json")
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    assert code == 1 and list(doc) == ["mode", "residual", "valid", "invariants"]
+    assert list(doc["invariants"]) == INVARIANT_KEYS
+    assert doc["residual"] is None and doc["invariants"]["operator_trace"] is None
+
+
+def test_bench_json_is_strict(tmp_path, capsys):
+    path = overflowing_lattice(tmp_path, capsys)
+    with np.errstate(all="ignore"):
+        code, out, _ = run(capsys, "bench", str(path), "--sizes", "4,8", "--cutoff", "1", "--json")
+    rows = json.loads(out, parse_constant=_refuse_constant)
+    assert code == 0 and [r["size"] for r in rows] == [4, 8]
+    assert all(len(r) == 7 and r["max_error"] is None for r in rows)
+
+
 @pytest.mark.parametrize("sizes", ["a", "4,", "0", "1", "4,-3"])
 def test_bench_bad_sizes_exit_2(tmp_path, capsys, sizes):
     dec = gen_lattice(tmp_path, capsys)

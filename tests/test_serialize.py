@@ -107,6 +107,21 @@ def test_dump_stack_matches_per_entry_format(nprng):
     assert _dump_stack(Q) == [["1/3", "-2/1", "0/1", "5/7"]]
 
 
+@pytest.mark.parametrize("name", ["lattice-7", "all-distinct"])
+def test_saved_floats_match_per_entry_format(tmp_path, nprng, name):
+    # each distinct float is formatted once and indexed back: the n=7
+    # lattice repeats a few hundred values, a random stack repeats none
+    if name == "lattice-7":
+        dec = lattice_decomposition(simplex_frame(7))
+    else:
+        dec = Decomposition(*nprng.standard_normal((3, 337, 7, 7)))
+    path = tmp_path / "d.json"
+    save_decomposition(dec, path)
+    terms = json.loads(path.read_text())["terms"]
+    for s, X in zip("abc", (dec.U, dec.V, dec.W)):
+        assert [t[s] for t in terms] == [[format(float(x), ".17g") for x in f.flat] for f in X]
+
+
 def _json_doc(dec):
     """The document a decomposition file holds, as json would encode it."""
     a, b, c = (_dump_stack(X) for X in (dec.U, dec.V, dec.W))
