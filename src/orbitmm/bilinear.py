@@ -292,7 +292,7 @@ def multiply_recursive(
     # a depth-0 product needs one leaf of scratch.
     spill = rank + 1 > n * n * (n * n - 1)
     stacks = [(rank + (level == depth - 1)) * (padded // n ** (level + 1)) ** 2 for level in range(depth)]
-    S = np.empty(leaf * leaf if not depth else sum(stacks) if spill else stacks[0])
+    S = np.empty((sum(stacks) if spill else stacks[0]) if depth else leaf * leaf)
     leaves = _node(A, Y.reshape(-1), S, 0, depth, leaf, _compile(dec), spill)
     del A, S  # free any converted copy of A and the workspace before cropping
     result = Y if padded == size else Y[:size, :size].copy()

@@ -351,7 +351,7 @@ def test_recursive_ranks_that_squeeze_the_group(rank, nprng):
         np.concatenate([naive.U, a, a]), np.concatenate([naive.V, b, b]), np.concatenate([naive.W, c, -c])
     )
     assert dec.rank == rank
-    for size, cutoff, depth in [(8, 4, 1), (5, 4, 1), (8, 2, 2), (6, 2, 2), (8, 1, 3), (40, 8, 3)]:
+    for size, cutoff, depth in [(4, 4, 0), (8, 4, 1), (5, 4, 1), (8, 2, 2), (6, 2, 2), (8, 1, 3), (40, 8, 3)]:
         A, B = nprng.standard_normal((2, size, size))
         rep = multiply_recursive(dec, A, B, cutoff=cutoff)
         ref, mults, ref_depth = _reference_recursive(dec, A, B, cutoff=cutoff)
