@@ -26,14 +26,14 @@ in scalar kind (mixing them raises ValueError); conversion is explicit
 (`to_float`, which returns the decomposition itself when it is already
 float64).
 
-`tensor_of` builds the dense tensor from the stacks: the row-wise Kronecker
-product KR[r] = a_r (x) b_r (r x n^4) times W (r x n^2) is one GEMM, taken
-over chunks of n^2 terms so that no temporary exceeds the n^6 entries of the
-result.  It returns a fresh array, which is what lets the verifiers write
-into it (subtract MM_n through `mm_support`, take abs in place) instead of
-building a second n^6 tensor.  Every dense n^6 tensor (`tensor_of`,
-`mm_tensor`) is refused with a RefusedInput (a ValueError), before anything
-is allocated, when its float64 size would exceed MAX_DENSE_BYTES.
+`tensor_of` builds the dense tensor one output slot at a time: slot (a, d)
+is T[(a,d), (c,f), (b,e)] = sum_r U[r,ad] W[r,cf] V[r,be], one GEMM of the
+r x n^2 temporary W * U[:, ad] with V written straight into the result, and
+nothing is zero-filled or accumulated.  The fresh array it returns lets the
+verifiers write into it (subtract MM_n through `mm_support`, take abs or
+square in place) instead of building a second n^6 tensor.  Every dense n^6
+tensor (`tensor_of`, `mm_tensor`) is refused with a RefusedInput (a
+ValueError) before anything is allocated, above MAX_DENSE_BYTES of float64.
 """
 
 from __future__ import annotations
@@ -158,14 +158,10 @@ def tensor_of(dec: Decomposition) -> np.ndarray:
     _require_dense_size(n)
     n2 = n * n
     U, V, W = (X.reshape(-1, n2) for X in (dec.U, dec.V, dec.W))
-    # T = W^T KR, the transpose of KR^T W: rows (c, f), columns (a, d, b, e)
-    if dec.exact:
-        T = np.full((n2, n2 * n2), Fraction(0), dtype=object)
-    else:
-        T = np.zeros((n2, n2 * n2))
-    # chunks of n^2 terms: the Khatri-Rao block and the product are n^6 each
-    for s in range(0, len(U), n2):
-        kr = (U[s : s + n2, :, None] * V[s : s + n2, None, :]).reshape(-1, n2 * n2)
-        T += W[s : s + n2].T @ kr
-    return T.reshape((n,) * 6).transpose(2, 4, 0, 3, 5, 1)
-
+    # T[(a,d), (c,f), (b,e)] = sum_r U[r,ad] W[r,cf] V[r,be]: one GEMM per slot ad
+    T = np.empty((n2, n2, n2), dtype=object if dec.exact else np.float64)
+    for ad in range(n2):
+        np.matmul((W * U[:, ad, None]).T, V, out=T[ad])
+    if dec.exact and not len(U):  # an empty object GEMM writes the int 0
+        T.fill(Fraction(0))
+    return T.reshape((n,) * 6).transpose(0, 4, 2, 1, 5, 3)

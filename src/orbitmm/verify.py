@@ -13,8 +13,8 @@ integer (one limb when d^3 max|X|^3 < 2^53), and the limbs' traces are
 combined as Python ints.
 invariants_report reads its three invariants from one dense tensor T: the
 operator trace as einsum("abcabc->", T), <D, MM> as the sum of
-mm_support(T) and <D, D> as (T * T).sum(); it computes its factor ranks
-only when they are read.
+mm_support(T) and, last, <D, D> as the sum of T squared in T's own memory,
+so it holds one n^6 array; it computes its factor ranks only when read.
 """
 
 from __future__ import annotations
@@ -146,11 +146,12 @@ class InvariantsReport:
 def invariants_report(dec: Decomposition) -> InvariantsReport:
     d = dec.to_float()
     T = tensor_of(d)
+    trace, dmm = float(np.einsum("abcabc->", T)), float(mm_support(T).sum())
     return InvariantsReport(
         n=dec.n,
         rank=dec.rank,
-        operator_trace=float(np.einsum("abcabc->", T)),
-        frobenius_sq=float((T * T).sum()),
-        inner_with_mm=float(mm_support(T).sum()),
+        operator_trace=trace,
+        frobenius_sq=float(np.multiply(T, T, out=T).sum()),  # T is not read after this
+        inner_with_mm=dmm,
         factors=d,
     )

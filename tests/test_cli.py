@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import orbitmm
-from orbitmm.cli import main
+from orbitmm.cli import build_parser, main
 from orbitmm.serialize import load_decomposition, load_matrix, save_decomposition, save_matrix
 from orbitmm.tensor import Decomposition
 
@@ -174,6 +174,16 @@ def test_verify_json_schema(tmp_path, capsys):
     assert list(doc) == ["mode", "residual", "file_deviation", "valid", "invariants"]
     assert doc["mode"] == "exact-gram" and doc["residual"] == "0"
     assert list(doc["invariants"]) == INVARIANT_KEYS
+
+
+def test_main_calls_share_no_state(tmp_path, capsys):
+    # main() parses with one parser per process; each call gets fresh options
+    path = gen_lattice(tmp_path, capsys)
+    _, out, _ = run(capsys, "verify", str(path), "--json")
+    assert json.loads(out)["valid"] is True
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and out.startswith("max residual")
+    assert build_parser() is not build_parser()
 
 
 def test_verify_text_prints_each_invariant_once(tmp_path, capsys):

@@ -129,6 +129,10 @@ def test_tensor_of_empty():
     T = tensor_of(dec)
     assert T.shape == (2,) * 6 and T.dtype == np.float64
     assert np.all(T == 0.0)
+    # an exact decomposition of rank 0 still gives exact zeros, not the int 0
+    T = tensor_of(Decomposition(*np.empty((3, 0, 2, 2), dtype=object)))
+    assert T.shape == (2,) * 6 and T.dtype == object
+    assert all(type(x) is Fraction and x == 0 for x in T.flat)
 
 
 def test_tensor_of_identity_term():
@@ -217,6 +221,20 @@ def test_dense_size_guard():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # refused before any n^6 allocation
+
+
+@pytest.mark.parametrize("build", [tensor_of, invariants_report])
+def test_dense_builds_peak_at_one_dense_tensor(build):
+    # the result and r x n^2 temporaries, never a second n^6 array
+    dec = lattice_decomposition(simplex_frame(7))
+    n, r = dec.n, dec.rank
+    tracemalloc.start()
+    try:
+        build(dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n**6 + 2 * r * n * n) + (64 << 10)
 
 
 def test_operator_trace_identity_cube():
