@@ -17,42 +17,38 @@ size).
 multiply_recursive copies B once, row-major, into a fresh p x p array Y
 (zero-filling only the pad when the size is not a power of n), and Y is
 also the result.  A is only read (only a padded or non-float64 A is copied
-once, to float64).  The top node sees both matrices through one panel view
-(_a_panels): in the recursive block layout (index digits ordered i0, j0,
-i1, j1, ..., row, col) its n*n sub-blocks form one (n*n, (p/n)^2) stack,
-read or written one column panel at a time through a small buffer,
-whatever the strides.  Below the top node every stack is contiguous and in
-that layout.  Each node overwrites its B operand with the product, writing
-every C block once: one GEMM of the B-side factors with B's stack forms all
-rank B-side combinations, after which B's blocks are free.  Above the leaf
-parent (the node whose children are leaves) the children's stacks take the
-last ceil((rank+1)/n^2) of them, and the first g = n^2 - ceil((rank+1)/n^2)
-hold A-side combinations: one GEMM of g A-side factor rows with A's stack
-forms a group of g terms' A sides (g = 2, 6, 12 for the n = 2, 3, 4 schemes
-of rank n^3 - n + 1, so A's stack is read ceil(rank/g) times, not rank
-times), and each child multiplies its block into its row of the rank stack
-in place.  The leaf parent keeps no room for its children: it forms its A
-sides n^2 at a time in all of B's blocks, and its stack has one slack block
-ahead of the rank B sides, so leaf t multiplies (np.matmul) straight into
-block t, the B side of term t - 1, used by then.  No leaf needs scratch or
-copies its product back, but the one leaf of a depth-0 product.  One GEMM
-of the C-side factors with the first rank blocks of the finished stack then
-writes the node's n*n blocks; at the top node it writes them into Y through
-the same panel view.  These GEMMs have an inner dimension of n*n or rank
-and rows of up to p^2/n^2 entries, so they are bound by memory bandwidth;
-above PANEL columns each runs in column panels of PANEL, on which BLAS runs
-them up to about twice as fast.  Each child's stack lives in its parent's
-free blocks, so the one workspace S is the top node's stack whenever
-rank + 1 <= n^2(n^2-1), as for every scheme of rank <= n^3; above that the
-stacks of all levels follow one another in it, and each group above the
-leaf parent is one term.  So the temporaries of one product peak at
-p^2 + rank*(p/n)^2 + min(n^2*PANEL, (p/n)^2) entries: Y (B's copy, the top
-node's free blocks, then C), S, and the buffer of one panel; at depth 1,
-where the top node is the leaf parent, S has rank + 1 blocks of (p/n)^2.
-That is 2.75 p^2 and a little more for the n = 2 orbit at depth >= 2, and
-a padded A adds its p^2 copy.  A padded result is cropped to a copy once S
-is freed.  The factor rows come straight from the decomposition's stacks U,
-V and W (transposed for c^T).
+once, to float64).  A product at or below the cutoff is one matmul, A @ Y.
+Above it, each node overwrites its B operand with the product, its n*n
+sub-blocks a stack in the recursive block layout (index digits ordered i0,
+j0, i1, j1, ..., row, col).  Below the top node every stack is contiguous;
+the top node reads A and B and writes C through one panel view (_a_panels),
+a column panel at a time through a small buffer, whatever the strides.  One
+GEMM of the B-side factors with B's stack forms all rank B sides, after
+which B's blocks are free.  The one block rule: a node forms its A sides in
+every block of its B operand that holds no child stack, g at a time by one
+GEMM of g A-side factor rows, so it reads its A operand ceil(rank/g) times,
+not rank times.  Those are all n^2 blocks at the leaf parent (the node
+whose children are leaves) and when the children's stacks spill (below);
+otherwise n^2 - ceil((rank+1)/n^2) blocks (g = 2, 6, 12 for the n = 2, 3, 4
+schemes of rank n^3 - n + 1), the rest holding the children's stacks.  The
+leaf parent's stack has one slack block ahead of its rank B sides, so leaf
+t writes its product (np.matmul) straight into block t, the B side of term
+t - 1, used by then.  One GEMM of the C-side factors with the finished
+stack writes each C block once.  These GEMMs have an inner dimension of n*n
+or rank and rows of up to p^2/n^2 entries, so they are bound by memory
+bandwidth; above PANEL columns each runs in column panels of PANEL, on
+which BLAS runs them up to about twice as fast.  Each child's stack lives
+in its parent's free blocks, so the one workspace S is the top node's stack
+whenever rank + 1 <= n^2(n^2-1), as for every scheme of rank <= n^3; above
+that the stacks spill: those of all levels follow one another in S.  So
+the temporaries of one product peak at p^2 + rank*(p/n)^2 +
+min(n^2*PANEL, (p/n)^2) entries: Y (B's copy, the top node's free blocks,
+then C), S, and the buffer of one panel; at depth 1, where the top node is
+the leaf parent, S has rank + 1 blocks of (p/n)^2.  That is 2.75 p^2 and a
+little more for the n = 2 orbit at depth >= 2, and a padded A adds its p^2
+copy.  A padded result is cropped to a copy once S is freed.  The factor
+rows come straight from the decomposition's stacks U, V and W (transposed
+for c^T).
 """
 
 from __future__ import annotations
@@ -218,29 +214,11 @@ def _scatter(M, src, panels) -> None:
         c += w
 
 
-def _group_size(rank: int, nn: int) -> int:
-    """How many A-side combinations one GEMM forms in Y's free blocks above
-    the leaf parent: all nn blocks but the ceil((rank + 1)/nn) that hold the
-    children's stacks (a leaf parent's stack has rank + 1 blocks), or 1 when
-    those stacks spill (rank + 1 > nn(nn - 1))."""
-    return max(nn + (-(rank + 1) // nn), 1)
-
-
 def _node(X, Y, S, level, depth, leaf, code, spill) -> int:
     """Y := X Y, X only read, Y flat in block layout and the flat S scratch;
     returns the number of leaf products made.  X is flat in block layout
-    too, except at the top node (level 0), where X is the padded A and Y
-    the padded B, flat in row-major order: when the product splits, that
-    node reads A's and B's stacks and writes C's through column panels (see
-    _a_panels), and uses Y's memory as its free blocks in between.  The
-    leaf parent (level depth - 1) runs its leaves itself: its stack has one
-    slack block ahead of the B sides, and leaf t writes its product into
-    block t, the B side of term t - 1, already used."""
-    if level == depth:  # depth 0 only: deeper leaves are run by their parent
-        T = S[: leaf * leaf]
-        np.matmul(X.reshape(leaf, leaf), Y.reshape(leaf, leaf), out=T.reshape(leaf, leaf))
-        Y[:] = T
-        return 1
+    too, except at the top node (level 0), where X and Y are the padded A
+    and B, row-major and seen through column panels (see _a_panels)."""
     U, V, Wt = code
     rank, nn = V.shape
     Ys = Y.reshape(nn, -1)
@@ -253,22 +231,21 @@ def _node(X, Y, S, level, depth, leaf, code, spill) -> int:
         n = math.isqrt(nn)
         read, write, Xs, Yp = _gather, _scatter, _a_panels(X, n, depth, leaf), _a_panels(Y, n, depth, leaf)
     read(V, Yp, Sx[slack:])  # every term's B side; Y's blocks are free from here
-    if slack:
-        g, Ya, L = nn, Ys.reshape(nn, leaf, leaf), Sx.reshape(rank + 1, leaf, leaf)
-    else:
-        g = _group_size(rank, nn)
-        child = S[rank * hh :] if spill else Ys[g:].reshape(-1)
+    g = nn if slack or spill else nn + (-(rank + 1) // nn)  # blocks no child stack takes
+    child = S[rank * hh :] if spill else Ys[g:].reshape(-1)
+    L = Sx.reshape(-1, leaf, leaf)  # the leaf parent's stack as leaf x leaf blocks
     leaves = 0
     for t0 in range(0, rank, g):
         k = min(g, rank - t0)
         read(U[t0 : t0 + k], Xs, Ys[:k])  # A sides of k terms, one pass over X
         for j in range(k):
             if slack:  # the product lands one block before its B side
-                np.matmul(Ya[j], L[t0 + j + 1], out=L[t0 + j])
+                np.matmul(Ys[j].reshape(leaf, leaf), L[t0 + j + 1], out=L[t0 + j])
+                leaves += 1
             else:
                 leaves += _node(Ys[j], Sx[t0 + j], child, level + 1, depth, leaf, code, spill)
     write(Wt, Sx[:rank], Yp)  # each C block written once
-    return rank if slack else leaves
+    return leaves
 
 
 def multiply_recursive(
@@ -286,15 +263,18 @@ def multiply_recursive(
     # converted.  Y is B's copy, the top node's free blocks and the result.
     A = np.asarray(A, dtype=np.float64) if padded == size else _padded_copy(A, padded)
     Y = _padded_copy(B, padded)
-    # a child's stack fits in its parent's n*n - 1 free blocks unless
-    # rank + 1 > n^2(n^2-1); then every level's stack follows the one above
-    # it in the workspace.  The leaf parent's stack has rank + 1 blocks, and
-    # a depth-0 product needs one leaf of scratch.
-    spill = rank + 1 > n * n * (n * n - 1)
-    stacks = [(rank + (level == depth - 1)) * (padded // n ** (level + 1)) ** 2 for level in range(depth)]
-    S = np.empty((sum(stacks) if spill else stacks[0]) if depth else leaf * leaf)
-    leaves = _node(A, Y.reshape(-1), S, 0, depth, leaf, _compile(dec), spill)
-    del A, S  # free any converted copy of A and the workspace before cropping
+    if depth:
+        # a child's stack fits in its parent's n*n - 1 free blocks unless
+        # rank + 1 > n^2(n^2-1); then every level's stack follows the one
+        # above it in the workspace.  The leaf parent's stack has rank + 1 blocks.
+        spill = rank + 1 > n * n * (n * n - 1)
+        stacks = [(rank + (level == depth - 1)) * (padded // n ** (level + 1)) ** 2 for level in range(depth)]
+        S = np.empty(sum(stacks) if spill else stacks[0])
+        leaves = _node(A, Y.reshape(-1), S, 0, depth, leaf, _compile(dec), spill)
+        del S  # free the workspace before cropping
+    else:
+        Y, leaves = A @ Y, 1
+    del A  # free any converted copy of A before cropping
     result = Y if padded == size else Y[:size, :size].copy()
     wall = time.perf_counter() - t0
     return MulReport(

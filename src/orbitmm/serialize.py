@@ -120,12 +120,14 @@ def load_decomposition(path) -> Decomposition:
             raise SchemaError(f"n must be >= 1, got {n}")
         if kind not in ("rational", "float64"):
             raise SchemaError(f"scalar_kind must be 'rational' or 'float64', got {kind!r}")
-        params = doc.get("params", {})
+        scheme, params = doc.get("scheme", "imported"), doc.get("params", {})
+        if not isinstance(scheme, str):
+            raise SchemaError(f"scheme must be a string, got {scheme!r}")
         if not isinstance(params, dict):
             raise SchemaError(f"params must be an object, got {params!r}")
         terms = doc["terms"]
         U, V, W = (_load_stack([t[s] for t in terms], n, kind) for s in "abc")
-        return Decomposition(U, V, W, doc.get("scheme", "imported"), params)
+        return Decomposition(U, V, W, scheme, params)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         if isinstance(e, SchemaError):
             raise

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .frames import Frame
-from .tensor import Decomposition, mm_support, tensor_of
+from .tensor import Decomposition, RefusedInput, mm_support, tensor_of
 
 __all__ = ["VerifyReport", "InvariantsReport", "verify_float", "verify_exact_gram", "invariants_report"]
 
@@ -48,7 +48,10 @@ class VerifyReport:
 
 def verify_float(dec: Decomposition, tol: float = DEFAULT_TOL) -> VerifyReport:
     """Entrywise check of tensor_of(dec) against MM_n: the largest
-    |tensor_of(dec) - MM_n| entry, computed in the fresh tensor's own memory."""
+    |tensor_of(dec) - MM_n| entry, computed in the fresh tensor's own memory.
+    A tol that is not finite and > 0 is refused before anything is built."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise RefusedInput(f"tol must be finite and > 0, got {tol}")
     T = tensor_of(dec.to_float())
     mm_support(T)[...] -= 1.0
     residual = float(np.abs(T, out=T).max())

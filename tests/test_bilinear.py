@@ -6,7 +6,6 @@ import pytest
 
 from orbitmm.bilinear import (
     PANEL,
-    _group_size,
     benchmark,
     format_bench_table,
     multiply_recursive,
@@ -236,14 +235,55 @@ def test_recursive_matches_reference(name, kind, nprng):
         assert np.abs(rep.result - A @ B).max() <= 1e-12 * scale
 
 
-# (n, rank, A-side group size) above the leaf parent: the n^2 blocks of Y
-# less the ceil((rank + 1)/n^2) that hold the children's stacks (a leaf
-# parent's stack has one slack block), so 1 for rank 8, which n^2 divides,
-# and for ranks 12 and 13, whose rank + 1 > n^2(n^2-1) spills the stacks
-# into the workspace
-@pytest.mark.parametrize("n,rank,g", [(2, 7, 2), (3, 25, 6), (4, 61, 12), (2, 13, 1), (2, 8, 1), (2, 12, 1)])
-def test_group_size(n, rank, g):
-    assert _group_size(rank, n * n) == g
+def _with_cancelling_pairs(dec, pairs, nprng):
+    """dec plus the terms (a, b, c) and (a, b, -c) for `pairs` random
+    triples: the same product at rank dec.rank + 2 * pairs."""
+    a, b, c = nprng.standard_normal((3, pairs, dec.n, dec.n))
+    return Decomposition(
+        np.concatenate([dec.U, a, a]), np.concatenate([dec.V, b, b]), np.concatenate([dec.W, c, -c])
+    )
+
+
+# (scheme, cancelling pairs added, size, cutoff, g): a node above the leaf
+# parent forms its A sides g at a time, in the n^2 blocks of Y less the
+# ceil((rank + 1)/n^2) that hold its children's stacks (a leaf parent's
+# stack has one slack block): g = 2, 6, 12 for the n = 2, 3, 4 schemes of
+# rank n^3 - n + 1 and 1 for rank 8, which n^2 divides.  The leaf parent,
+# and every node of ranks 12 and 13, whose stacks spill into the
+# workspace, fill all n^2 blocks.
+@pytest.mark.parametrize("name,pairs,size,cutoff,g", [
+    ("orbit2", 0, 8, 1, 2), ("lattice3", 0, 27, 1, 6), ("lattice4", 0, 64, 4, 12),
+    ("naive2", 0, 8, 1, 1), ("naive2", 2, 40, 8, 4), ("orbit2", 3, 40, 8, 4),
+])
+def test_a_side_passes(name, pairs, size, cutoff, g, monkeypatch, nprng):
+    # each A-side GEMM (factor rows a slice of U) is one pass over the
+    # node's X; a node makes ceil(rank/g) of them, its leaf parents
+    # ceil(rank/n^2)
+    import orbitmm.bilinear as bilinear
+
+    dec = _with_cancelling_pairs(EXECUTOR_DECS[name]().to_float(), pairs, nprng)
+    passes = {}  # columns of a node's stack -> A-side GEMMs of all its nodes
+
+    def counted(gemm):
+        def wrapped(M, src, dst):
+            if np.shares_memory(M, dec.U):
+                passes[dst.shape[1]] = passes.get(dst.shape[1], 0) + 1
+            gemm(M, src, dst)
+
+        return wrapped
+
+    for gemm in ("_panels", "_gather"):
+        monkeypatch.setattr(bilinear, gemm, counted(getattr(bilinear, gemm)))
+    A, B = nprng.standard_normal((2, size, size))
+    rep = multiply_recursive(dec, A, B, cutoff=cutoff)
+    assert np.abs(rep.result - A @ B).max() <= 1e-12 * float(np.abs(A @ B).max())
+    n, rank, depth, p = dec.n, dec.rank, rep.recursion_depth, 1
+    while p < size:
+        p *= n
+    assert passes == {
+        (p // n ** (level + 1)) ** 2: rank**level * math.ceil(rank / (n * n if level == depth - 1 else g))
+        for level in range(depth)
+    }
 
 
 @pytest.mark.parametrize("size", [8, 5])

@@ -170,6 +170,18 @@ def test_nonpositive_n_rejected(tmp_path):
         load_decomposition(path)
 
 
+@pytest.mark.parametrize("scheme", [5, None, ["lattice"]])
+def test_non_string_scheme_rejected(scheme, tmp_path):
+    good = tmp_path / "good.json"
+    save_decomposition(lattice_decomposition(simplex_frame(2)), good)
+    doc = json.loads(good.read_text())
+    doc["scheme"] = scheme
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="scheme must be a string"):
+        load_decomposition(bad)
+
+
 def test_zero_denominator_rejected(tmp_path):
     q = ["1/1", "0/1", "0/1", "1/1"]
     doc = {"format_version": 1, "n": 2, "scalar_kind": "rational", "terms": [{"a": ["1/0"] + q[1:], "b": q, "c": q}]}

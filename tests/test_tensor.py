@@ -173,15 +173,15 @@ def _random_exact_dec(rng, n, rank):
     [
         orbit_decomposition(orbit_spec_for(2)),
         orbit_decomposition(orbit_spec_for(4)),
-        lattice_decomposition(simplex_frame(3)),  # rank 25, not a multiple of the chunk of 9
+        lattice_decomposition(simplex_frame(3)),
         lattice_decomposition(simplex_frame(5)),
     ],
     ids=["orbit2", "orbit4", "lattice3", "lattice5"],
 )
 @pytest.mark.parametrize("include_identity", [True, False])
 def test_tensor_of_matches_reference_float(dec, include_identity):
-    # without its leading identity term the rank drops by one, which moves
-    # the chunk boundaries of n^2 terms
+    # without its leading identity term the rank drops by one and no term
+    # is the identity: each output slot's GEMM sums the remaining terms only
     if not include_identity:
         dec = Decomposition(dec.U[1:], dec.V[1:], dec.W[1:])
     got = tensor_of(dec)
@@ -202,8 +202,8 @@ def test_tensor_of_lattice12():
     dec = lattice_decomposition(simplex_frame(12))
     assert dec.rank == 1717
     assert np.abs(tensor_of(dec) - mm_tensor(12)).max() < 1e-9
-    # the per-term reference costs ~20 ms a term here: take one chunk of
-    # 144 terms and two more, so the sum crosses a chunk boundary
+    # the per-term reference costs ~20 ms a term here, so it checks only a
+    # leading slice of 146 terms, each slot's GEMM summing over all of them
     head = Decomposition(dec.U[:146], dec.V[:146], dec.W[:146])
     assert np.abs(tensor_of(head) - _reference_tensor_of(head)).max() <= 1e-12
 

@@ -10,7 +10,7 @@ import pytest
 
 from orbitmm.constructions import lattice_decomposition, orbit_decomposition, orbit_spec_for, strassen_theta
 from orbitmm.frames import FIXTURE_NAMES, fixture_frame, simplex_frame
-from orbitmm.tensor import Decomposition, mm_tensor, tensor_of
+from orbitmm.tensor import Decomposition, RefusedInput, mm_tensor, tensor_of
 from orbitmm.verify import _trace_cube, invariants_report, verify_exact_gram, verify_float
 
 from conftest import random_exact_matrix
@@ -145,6 +145,16 @@ def test_verify_float_tolerance_knob():
     dec = lattice_decomposition(simplex_frame(3))
     assert verify_float(dec, tol=1e-13).valid
     assert not verify_float(dec, tol=1e-17).valid
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1e-9])
+def test_verify_float_refuses_bad_tol(tol, monkeypatch):
+    # an infinite tol would call the zero decomposition valid
+    import orbitmm.verify as verify
+
+    monkeypatch.setattr(verify, "tensor_of", lambda d: pytest.fail("refusal must come before any work"))
+    with pytest.raises(RefusedInput, match="tol"):
+        verify_float(Decomposition(*np.zeros((3, 1, 2, 2))), tol=tol)
 
 
 def test_verify_report_lines():
