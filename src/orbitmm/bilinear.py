@@ -17,7 +17,8 @@ size).
 multiply_recursive copies B once, row-major, into a fresh p x p array Y
 (zero-filling only the pad when the size is not a power of n), and Y is
 also the result.  A is only read (only a padded or non-float64 A is copied
-once, to float64).  A product at or below the cutoff is one matmul, A @ Y.
+once, to float64).  A product at or below the cutoff is one matmul, A @ Y,
+where an unpadded B is read in place as Y.
 Above it, each node overwrites its B operand with the product, its n*n
 sub-blocks a stack in the recursive block layout (index digits ordered i0,
 j0, i1, j1, ..., row, col).  Below the top node every stack is contiguous;
@@ -262,7 +263,7 @@ def multiply_recursive(
     # A is only read: the caller's own matrix unless it must be padded or
     # converted.  Y is B's copy, the top node's free blocks and the result.
     A = np.asarray(A, dtype=np.float64) if padded == size else _padded_copy(A, padded)
-    Y = _padded_copy(B, padded)
+    Y = np.asarray(B, dtype=np.float64) if padded == size and not depth else _padded_copy(B, padded)
     if depth:
         # a child's stack fits in its parent's n*n - 1 free blocks unless
         # rank + 1 > n^2(n^2-1); then every level's stack follows the one

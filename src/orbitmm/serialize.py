@@ -99,6 +99,8 @@ def _load_stack(rows: list, n: int, kind: str) -> np.ndarray:
         if len(row) != n * n:
             raise SchemaError(f"matrix has {len(row)} entries, expected {n * n}")
     if kind == "rational":
+        if bad := [s for row in rows for s in row if not isinstance(s, str)]:  # a JSON 0.1 is not 1/10
+            raise SchemaError(f"rational entries must be 'p/q' strings, got {bad[0]!r}")
         X = np.array([Fraction(s) for row in rows for s in row], dtype=object)
     else:
         X = _finite(np.array(rows, dtype=np.float64), "float64 matrix")

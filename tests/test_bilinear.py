@@ -353,6 +353,21 @@ def test_recursive_peak_memory(name, size, cutoff, nprng):
     _peak_within_law(EXECUTOR_DECS[name](), A, B, cutoff)
 
 
+def test_depth0_product_reads_b_in_place(nprng):
+    # at or below the cutoff an unpadded product holds only its s x s result
+    dec, s = EXECUTOR_DECS["orbit2"](), 256
+    A, B = nprng.standard_normal((2, s, s))
+    multiply_recursive(dec, A, B, cutoff=s)  # warm up numpy's caches
+    tracemalloc.start()
+    try:
+        rep = multiply_recursive(dec, A, B, cutoff=s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.recursion_depth == 0 and np.array_equal(rep.result, A @ B)
+    assert peak <= 8 * s**2 + 64 * 1024
+
+
 def test_recursive_peak_memory_transposed_a(nprng):
     # a transposed A is gathered in place too, not copied to row-major first
     A, B = nprng.standard_normal((2, 512, 512))

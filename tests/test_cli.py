@@ -6,6 +6,8 @@ import pytest
 
 import orbitmm
 from orbitmm.cli import build_parser, main
+from orbitmm.constructions import lattice_decomposition
+from orbitmm.frames import fixture_frame
 from orbitmm.serialize import load_decomposition, load_matrix, save_decomposition, save_matrix
 from orbitmm.tensor import Decomposition
 
@@ -226,6 +228,17 @@ def test_verify_exact_gram(tmp_path, capsys):
     assert "0 (exact)" in out
     # the certificate covers the lattice regenerated from the file's frame label
     assert "exact |D - MM|^2 of the regenerated generic-4 lattice: 0 (exact)" in out.splitlines()
+
+
+@pytest.mark.parametrize("name", ["triangle-2", "tetrahedron-3", "simplex-4"])
+def test_verify_exact_gram_fixture_frames(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    save_decomposition(lattice_decomposition(fixture_frame(name)), path)
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "exact-gram")
+    assert code == 0
+    assert f"exact |D - MM|^2 of the regenerated {name} lattice: 0 (exact)" in out.splitlines()
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "exact-gram", "--json")
+    assert code == 0 and json.loads(out)["file_deviation"] == 0
 
 
 def test_verify_exact_gram_rejects_nonlattice(tmp_path, capsys):

@@ -191,6 +191,17 @@ def test_zero_denominator_rejected(tmp_path):
         load_decomposition(path)
 
 
+@pytest.mark.parametrize("entry", [0.1, True])
+def test_rational_entry_must_be_a_string(entry, tmp_path):
+    # Fraction(0.1) is 3602879701896397/36028797018963968 and Fraction(True) is 1
+    q = ["1/1", "0/1", "0/1", "1/1"]
+    doc = {"format_version": 1, "n": 2, "scalar_kind": "rational", "terms": [{"a": q, "b": q[:3] + [entry], "c": q}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=f"must be 'p/q' strings, got {entry!r}"):
+        load_decomposition(path)
+
+
 def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "bad.json"
     good = tmp_path / "good.json"
