@@ -124,7 +124,7 @@ def _plan(n: int, size: int, cutoff: int) -> tuple[int, int, int]:
     while padded < size:
         padded *= n
     depth, leaf = 0, padded
-    while leaf > cutoff and leaf % n == 0:
+    while leaf > cutoff:
         leaf //= n
         depth += 1
     return padded, depth, leaf

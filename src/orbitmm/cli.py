@@ -2,8 +2,8 @@
 
 Subcommands: gen, verify, analyze, multiply, bench.  Exit codes are stable:
 0 = success / mathematically valid, 1 = mathematically invalid, 2 = usage,
-I/O, or schema error, or an input the package refuses (RefusedInput).  Any
-other exception is a fault of the program and propagates.
+I/O, or schema error, or an input or argument the package refuses
+(RefusedInput).  Any other exception is a fault of the program and propagates.
 """
 
 from __future__ import annotations
@@ -46,24 +46,20 @@ BUILTINS = ("strassen", "s4-first", "s4-second", "s5")
 S4_BUILTINS = {"s4-first": ("u", -1, 0.0), "s4-second": ("v", -1, math.pi / 2)}
 
 
-class UsageError(Exception):
-    pass
-
-
 def _theta_from_args(args) -> float:
     if args.theta is not None and args.theta_sixths is not None:
-        raise UsageError("pass --theta or --theta-sixths, not both")
+        raise RefusedInput("pass --theta or --theta-sixths, not both")
     if args.theta_sixths is not None:
         return args.theta_sixths * math.pi / 6
     if args.theta is not None and not math.isfinite(args.theta):
-        raise UsageError(f"--theta must be finite, got {args.theta}")
+        raise RefusedInput(f"--theta must be finite, got {args.theta}")
     return args.theta if args.theta is not None else 0.0
 
 
 def _refuse_unread(args, reads_theta: bool, where: str):
     """Refuse --theta and --theta-sixths where no theta seed reads them."""
     if not reads_theta and (args.theta is not None or args.theta_sixths is not None):
-        raise UsageError(f"--theta and --theta-sixths apply to the theta seeds only, not to {where}")
+        raise RefusedInput(f"--theta and --theta-sixths apply to the theta seeds only, not to {where}")
 
 
 def _strassen_spec(args) -> OrbitSpec:
@@ -78,18 +74,18 @@ def _gen(args) -> int:
     n, scheme = args.n, args.scheme
     _refuse_unread(args, scheme in ("strassen-theta", "s4-family"), f"--scheme {scheme}")
     if args.variant is not None and scheme != "s4-family":
-        raise UsageError(f"--variant applies to s4-family only, not to --scheme {scheme}")
+        raise RefusedInput(f"--variant applies to s4-family only, not to --scheme {scheme}")
     if scheme == "lattice":
         dec = lattice_decomposition(simplex_frame(n))
     elif scheme == "orbit":
         dec = orbit_decomposition(orbit_spec_for(n))
     elif scheme == "strassen-theta":
         if n != 2:
-            raise UsageError("strassen-theta requires n = 2")
+            raise RefusedInput("strassen-theta requires n = 2")
         dec = orbit_decomposition(_strassen_spec(args))
     elif scheme == "s4-family":
         if n != 3:
-            raise UsageError("s4-family requires n = 3")
+            raise RefusedInput("s4-family requires n = 3")
         which, signch = (args.variant or "u-minus").split("-")
         sign = 1 if signch == "plus" else -1
         dec = orbit_decomposition(s4_family_spec(which, sign, _theta_from_args(args)))
@@ -100,17 +96,17 @@ def _gen(args) -> int:
 
 def _verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
-        raise UsageError(f"--tol must be finite and > 0, got {args.tol}")
+        raise RefusedInput(f"--tol must be finite and > 0, got {args.tol}")
     dec = load_decomposition(args.file)
     if args.mode == "exact-gram":  # refuse before any dense n^6 build
         if dec.scheme != "lattice":
-            raise UsageError("exact-gram mode applies to lattice decompositions only")
+            raise RefusedInput("exact-gram mode applies to lattice decompositions only")
         label = dec.params.get("frame", f"generic-{dec.n}")
         if not isinstance(label, str):
-            raise UsageError(f"frame label {label!r} is not a string")
+            raise RefusedInput(f"frame label {label!r} is not a string")
         frame = simplex_frame(dec.n) if label == f"generic-{dec.n}" else fixture_frame(label)
         if frame.n != dec.n:
-            raise UsageError(f"frame {label!r} has n={frame.n}, but the file has n={dec.n}")
+            raise RefusedInput(f"frame {label!r} has n={frame.n}, but the file has n={dec.n}")
     # unread in exact-gram mode, yet one of the 4 tensor_of calls perfbench/workloads.py pins there
     rep = verify_float(dec, tol=args.tol)
     inv = invariants_report(dec)
@@ -189,23 +185,16 @@ def _multiply(args) -> int:
     A = load_matrix(args.a_file)
     B = load_matrix(args.b_file)
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise UsageError("A and B must be square and of equal size")
+        raise RefusedInput("A and B must be square and of equal size")
     rep = verify_float(dec)
     if not rep.valid:
         print(
             f"warning: decomposition residual {rep.max_residual:.3e} exceeds tolerance",
             file=sys.stderr,
         )
-        if not args.force:
-            return 1
-    C = multiply_recursive(dec, A, B, cutoff=args.cutoff).result
-    if args.output:
-        save_matrix(C, args.output)
-        print(f"wrote {args.output}")
-    else:
-        row_format = " ".join(["%.12g"] * C.shape[1])
-        for row in C.tolist():
-            print(row_format % tuple(row))
+        return 1
+    save_matrix(multiply_recursive(dec, A, B, cutoff=args.cutoff).result, args.output)
+    print(f"wrote {args.output}")
     return 0
 
 
@@ -214,9 +203,9 @@ def _bench(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
-        raise UsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+        raise RefusedInput(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     if min(sizes) < 2:  # the exponent estimate is log(count)/log(size)
-        raise UsageError("--sizes entries must be >= 2")
+        raise RefusedInput("--sizes entries must be >= 2")
     rows = benchmark(dec, sizes, cutoff=args.cutoff)
     if args.json:
         _print_json([dataclasses.asdict(r) for r in rows])
@@ -264,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("a_file")
     m.add_argument("b_file")
     m.add_argument("--cutoff", type=int, default=16)
-    m.add_argument("--force", action="store_true")
-    m.add_argument("--output", "-o", default=None)
+    m.add_argument("--output", "-o", required=True)
     m.set_defaults(func=_multiply)
 
     b = sub.add_parser("bench", help="benchmark recursive multiplication")
@@ -284,7 +272,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, SchemaError, RefusedInput) as e:
+    except (SchemaError, RefusedInput) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

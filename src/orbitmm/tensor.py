@@ -57,9 +57,9 @@ __all__ = [
 
 
 class RefusedInput(ValueError):
-    """A documented refusal of an input the package does not handle (a dense
-    tensor above MAX_DENSE_BYTES, a plan that cannot split, an unknown
-    fixture frame), raised before any work is done."""
+    """A documented refusal of an input or command-line argument the package
+    does not handle (a dense tensor above MAX_DENSE_BYTES, a plan that cannot
+    split, an unknown fixture frame), raised before any work is done."""
 
 
 # Largest dense n^6 tensor built here: 1 GiB of float64 entries, so n <= 22.

@@ -457,30 +457,13 @@ def test_multiply_end_to_end(tmp_path, capsys, nprng):
     assert np.abs(load_matrix(fc) - A @ B).max() < 1e-9
 
 
-def test_multiply_stdout(tmp_path, capsys):
-    dec = gen_lattice(tmp_path, capsys)
-    fa = tmp_path / "a.txt"
-    fb = tmp_path / "b.txt"
-    save_matrix(np.array([[1.0, 2], [3, 4]]), fa)
-    save_matrix(np.array([[5.0, 6], [7, 8]]), fb)
-    code, out, _ = run(capsys, "multiply", str(dec), str(fa), str(fb))
-    assert code == 0
-    assert "19" in out and "50" in out
-    # one format(x, ".12g") per entry
-    save_matrix(np.array([[1 / 3, -1e-300], [1e300, 5e-324]]), fa)
-    save_matrix(np.eye(2), fb)
-    code, out, _ = run(capsys, "multiply", str(dec), str(fa), str(fb), "--cutoff", "2")
-    assert code == 0
-    assert out == "0.333333333333 -1e-300\n1e+300 4.94065645841e-324\n"
-
-
 def test_multiply_non_finite_matrix_exits_2(tmp_path, capsys):
     dec = gen_lattice(tmp_path, capsys)
     fa = tmp_path / "a.txt"
     fb = tmp_path / "b.txt"
     save_matrix(np.eye(2), fa)
     fb.write_text("2 2\n1 nan\n0 1\n")
-    code, out, err = run(capsys, "multiply", str(dec), str(fa), str(fb))
+    code, out, err = run(capsys, "multiply", str(dec), str(fa), str(fb), "-o", str(tmp_path / "c.txt"))
     assert code == 2
     assert "non-finite" in err and out == ""
 
@@ -489,7 +472,7 @@ def test_multiply_negative_dimensions_exits_2(tmp_path, capsys):
     dec = gen_lattice(tmp_path, capsys)
     fa = tmp_path / "a.txt"
     fa.write_text("-2 -2\n1 0\n0 1\n")
-    code, out, err = run(capsys, "multiply", str(dec), str(fa), str(fa))
+    code, out, err = run(capsys, "multiply", str(dec), str(fa), str(fa), "-o", str(tmp_path / "c.txt"))
     assert code == 2
     assert "negative dimensions" in err and out == ""
 
@@ -504,7 +487,7 @@ def test_multiply_shape_mismatch_exits_2(tmp_path, capsys, a, b):
     fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
     save_matrix(a, fa)
     save_matrix(b, fb)
-    code, out, err = run(capsys, "multiply", str(dec), str(fa), str(fb))
+    code, out, err = run(capsys, "multiply", str(dec), str(fa), str(fb), "-o", str(tmp_path / "c.txt"))
     assert code == 2 and "square and of equal size" in err and out == ""
 
 
@@ -522,11 +505,31 @@ def test_multiply_invalid_dec_refused_without_force(tmp_path, capsys):
     run(capsys, "gen", "--n", "2", "--scheme", "strassen-theta", "--theta", "0.26", "-o", str(bad))
     fa = tmp_path / "a.txt"
     save_matrix(np.eye(2), fa)
-    code, _, err = run(capsys, "multiply", str(bad), str(fa), str(fa))
+    fc = tmp_path / "c.txt"
+    code, _, err = run(capsys, "multiply", str(bad), str(fa), str(fa), "-o", str(fc))
     assert code == 1
     assert "warning" in err
-    code, _, _ = run(capsys, "multiply", str(bad), str(fa), str(fa), "--force")
-    assert code == 0
+    assert err.startswith("warning: decomposition residual ") and err.endswith(" exceeds tolerance\n")
+    assert not fc.exists()
+
+
+@pytest.mark.parametrize(
+    "force,message",
+    [(False, "required: --output/-o"), (True, "unrecognized arguments: --force")],
+    ids=["no-output", "force"],
+)
+def test_multiply_refuses_no_output_and_force(tmp_path, capsys, force, message):
+    # multiply writes its product only to the required -o file and has no --force
+    dec = gen_lattice(tmp_path, capsys)
+    fa, fc = tmp_path / "a.txt", tmp_path / "c.txt"
+    save_matrix(np.eye(2), fa)
+    extra = ["--force", "-o", str(fc)] if force else []
+    with pytest.raises(SystemExit) as exc:
+        main(["multiply", str(dec), str(fa), str(fa), *extra])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+    assert not fc.exists()
 
 
 def test_bench_json(tmp_path, capsys):
@@ -616,8 +619,9 @@ def test_cli_paths_build_no_mm_tensor(tmp_path, capsys, monkeypatch):
     assert run(capsys, "analyze", str(orbit))[0] == 0
     assert run(capsys, "analyze", str(lat))[0] == 0
     assert run(capsys, "analyze", "strassen")[0] == 0
-    assert run(capsys, "multiply", str(orbit), str(fa), str(fa), "--cutoff", "1")[0] == 0
-    assert run(capsys, "multiply", str(theta), str(fa), str(fa))[0] == 1
+    fc = str(tmp_path / "c.txt")
+    assert run(capsys, "multiply", str(orbit), str(fa), str(fa), "--cutoff", "1", "-o", fc)[0] == 0
+    assert run(capsys, "multiply", str(theta), str(fa), str(fa), "-o", fc)[0] == 1
 
 
 def test_internal_value_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -200,3 +200,9 @@ fraction_strategy = st.fractions(
 def test_det_identities_property(entries):
     m = exact_matrix([[entries[0], entries[1]], [entries[2], entries[3]]])
     assert det_identities(m) == (0, 0)
+
+
+@pytest.mark.parametrize("check", [strassen_equations, det_identities])
+def test_seed_checks_refuse_non_2x2(check):
+    with pytest.raises(ValueError, match="requires a 2x2 matrix"):
+        check(np.eye(3))
