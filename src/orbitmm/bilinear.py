@@ -14,11 +14,11 @@ rank^depth * cutoff_cost overall.  There is one executor, multiply_recursive;
 multiply_via is its one-level case (cutoff 1 at the decomposition's own
 size).
 
-multiply_recursive copies B once, row-major, into a fresh p x p array Y
-(zero-filling only the pad when the size is not a power of n), and Y is
-also the result.  A is only read (only a padded or non-float64 A is copied
-once, to float64).  A product at or below the cutoff is one matmul, A @ Y,
-where an unpadded B is read in place as Y.
+multiply_recursive refuses (RefusedInput) matrices not square and of one
+size.  It copies B once, row-major, into a fresh p x p array Y by np.pad
+(only the pad is zero-filled), which is also the result.  A is only read
+(a padded or non-float64 A is copied once, to float64).  At or below the
+cutoff the product is one matmul, A @ Y, reading an unpadded B in place.
 Above it, each node overwrites its B operand with the product, its n*n
 sub-blocks a stack in the recursive block layout (index digits ordered i0,
 j0, i1, j1, ..., row, col).  Below the top node every stack is contiguous;
@@ -128,17 +128,6 @@ def _plan(n: int, size: int, cutoff: int) -> tuple[int, int, int]:
         leaf //= n
         depth += 1
     return padded, depth, leaf
-
-
-def _padded_copy(M: np.ndarray, padded: int) -> np.ndarray:
-    """A float64 copy of M in a fresh padded x padded array; only the pad
-    is zero-filled."""
-    P = np.empty((padded, padded))
-    s = M.shape[0]
-    P[s:] = 0.0
-    P[:s, s:] = 0.0
-    P[:s, :s] = M
-    return P
 
 
 def _a_panels(M: np.ndarray, n: int, depth: int, leaf: int) -> list[np.ndarray]:
@@ -254,16 +243,16 @@ def multiply_recursive(
 ) -> MulReport:
     """Recursive block multiplication driven by the decomposition."""
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("multiply_recursive needs square matrices of equal size")
+        raise RefusedInput("A and B must be square and of equal size")
     if np.iscomplexobj(A) or np.iscomplexobj(B):
         raise RefusedInput("multiply_recursive takes real matrices; a complex input would lose its imaginary part")
     n, size, rank = dec.n, A.shape[0], dec.rank
     padded, depth, leaf = _plan(n, size, cutoff)
     t0 = time.perf_counter()
-    # A is only read: the caller's own matrix unless it must be padded or
-    # converted.  Y is B's copy, the top node's free blocks and the result.
-    A = np.asarray(A, dtype=np.float64) if padded == size else _padded_copy(A, padded)
-    Y = np.asarray(B, dtype=np.float64) if padded == size and not depth else _padded_copy(B, padded)
+    # A is only read, unless it must be padded or converted.  Y is B's copy, the top node's free blocks
+    # and the result, C-ordered: np.pad keeps an F-ordered B's order, and Y.reshape(-1) would then copy.
+    A = np.asarray(A, dtype=np.float64) if padded == size else np.pad(np.asarray(A, dtype=np.float64), (0, padded - size))
+    Y = np.asarray(B, dtype=np.float64) if padded == size and not depth else np.pad(np.ascontiguousarray(B, dtype=np.float64), (0, padded - size))
     if depth:
         # a child's stack fits in its parent's n*n - 1 free blocks unless
         # rank + 1 > n^2(n^2-1); then every level's stack follows the one

@@ -50,7 +50,7 @@ def _theta_from_args(args) -> float:
     if args.theta is not None and args.theta_sixths is not None:
         raise RefusedInput("pass --theta or --theta-sixths, not both")
     if args.theta_sixths is not None:
-        return args.theta_sixths * math.pi / 6
+        return args.theta_sixths % 12 * math.pi / 6
     if args.theta is not None and not math.isfinite(args.theta):
         raise RefusedInput(f"--theta must be finite, got {args.theta}")
     return args.theta if args.theta is not None else 0.0
@@ -182,10 +182,6 @@ def _analyze(args) -> int:
 
 def _multiply(args) -> int:
     dec = load_decomposition(args.file)
-    A = load_matrix(args.a_file)
-    B = load_matrix(args.b_file)
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise RefusedInput("A and B must be square and of equal size")
     rep = verify_float(dec)
     if not rep.valid:
         print(
@@ -193,6 +189,7 @@ def _multiply(args) -> int:
             file=sys.stderr,
         )
         return 1
+    A, B = load_matrix(args.a_file), load_matrix(args.b_file)
     save_matrix(multiply_recursive(dec, A, B, cutoff=args.cutoff).result, args.output)
     print(f"wrote {args.output}")
     return 0

@@ -9,7 +9,7 @@ and index triples), so term lists are reproducible byte-for-byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -172,10 +172,9 @@ def strassen_theta_sixths(k: int) -> Decomposition:
 
 
 def _strassen_spec(u: np.ndarray, params: dict) -> OrbitSpec:
-    frame = fixture_frame("triangle-2")
-    sigma_perm = standard_sigma_perm(3)
-    v = z_from_y(u, lift_permutation(frame, sigma_perm))
-    return OrbitSpec(frame, symmetric_group(3), sigma_perm, u, v, "strassen-theta", params)
+    base = orbit_spec_for(2)
+    v = z_from_y(u, lift_permutation(base.frame, base.sigma_perm))
+    return replace(base, u=u, v=v, scheme="strassen-theta", params=params)
 
 
 def _y_of(theta: float) -> np.ndarray:
@@ -201,10 +200,9 @@ def s4_family_spec(which: str, sign: int, theta: float) -> OrbitSpec:
         raise ValueError("which must be 'u' or 'v'")
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    frame = fixture_frame("tetrahedron-3")
-    sigma_perm = standard_sigma_perm(4)
+    base = orbit_spec_for(3)
     y = _y_of(theta)
-    z = z_from_y(y, lift_permutation(frame, sigma_perm))
+    z = z_from_y(y, lift_permutation(base.frame, base.sigma_perm))
     w4_raw = np.array([-1.0, -1.0, -1.0])  # unnormalized tetrahedron vertex
     if which == "u":
         u = y + sign / (2 * SQ2 * SQ3) * w4_raw
@@ -213,7 +211,7 @@ def s4_family_spec(which: str, sign: int, theta: float) -> OrbitSpec:
         u = y
         v = z + sign / (3 * SQ2) * w4_raw
     params = {"which": which, "sign": sign, "theta": theta}
-    return OrbitSpec(frame, symmetric_group(4), sigma_perm, u, v, "s4-family", params)
+    return replace(base, u=u, v=v, scheme="s4-family", params=params)
 
 
 @dataclass(frozen=True)

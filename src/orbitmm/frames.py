@@ -45,11 +45,8 @@ class Frame:
 
 
 def _simplex_gram(n: int) -> np.ndarray:
-    g = np.empty((n + 1, n + 1), dtype=object)
-    off = Fraction(-1, n)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            g[i, j] = Fraction(1) if i == j else off
+    g = np.full((n + 1, n + 1), Fraction(-1, n), dtype=object)
+    np.fill_diagonal(g, Fraction(1))
     return g
 
 

@@ -57,9 +57,10 @@ __all__ = [
 
 
 class RefusedInput(ValueError):
-    """A documented refusal of an input or command-line argument the package
-    does not handle (a dense tensor above MAX_DENSE_BYTES, a plan that cannot
-    split, an unknown fixture frame), raised before any work is done."""
+    """A documented refusal, raised before any work, of an input or argument
+    the package does not handle: a dense tensor above MAX_DENSE_BYTES, a plan
+    that cannot split, matrices not square and of one size, a rational entry
+    outside float64's range, an unknown fixture frame."""
 
 
 # Largest dense n^6 tensor built here: 1 GiB of float64 entries, so n <= 22.
@@ -119,7 +120,10 @@ class Decomposition:
         """This decomposition with float64 stacks; itself if they already are."""
         if self.U.dtype == self.V.dtype == self.W.dtype == np.float64:
             return self
-        U, V, W = (X.astype(np.float64) for X in (self.U, self.V, self.W))
+        try:
+            U, V, W = (X.astype(np.float64) for X in (self.U, self.V, self.W))
+        except OverflowError:
+            raise RefusedInput("a rational entry lies outside float64's range (magnitude above 1.8e308)") from None
         return Decomposition(U, V, W, self.scheme, dict(self.params))
 
 

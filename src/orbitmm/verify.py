@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -140,10 +141,7 @@ class InvariantsReport:
         yield f"operator trace    : {self.operator_trace:.12g}  (expect n = {self.n})"
         yield f"<D, D>            : {self.frobenius_sq:.12g}  (expect n^3 = {self.n ** 3})"
         yield f"<D, MM>           : {self.inner_with_mm:.12g}  (expect n^3 = {self.n ** 3})"
-        counts = {}
-        for r in self.factor_ranks:
-            counts[r] = counts.get(r, 0) + 1
-        yield f"factor rank counts: {dict(sorted(counts.items()))}"
+        yield f"factor rank counts: {dict(sorted(Counter(self.factor_ranks).items()))}"
 
 
 def invariants_report(dec: Decomposition) -> InvariantsReport:

@@ -171,6 +171,13 @@ def test_recursive_rejects_bad_input():
         multiply_recursive(dec, np.eye(2), np.eye(2), cutoff=0)
 
 
+@pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((2, 2), (3, 3))], ids=["non-square", "unequal-size"])
+def test_recursive_refuses_shape_mismatch(shapes):
+    A, B = map(np.ones, shapes)
+    with pytest.raises(RefusedInput, match="square and of equal size"):
+        multiply_recursive(lattice(2), A, B)
+
+
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_recursive_refuses_complex_input(side, monkeypatch):
     # the float64 executor would drop the imaginary part: 1j*I @ I read as 0
@@ -315,6 +322,18 @@ def test_recursive_leaves_inputs_unchanged(name, size, cutoff, nprng):
         rep = multiply_recursive(dec, A, B, cutoff=cutoff)
         assert np.array_equal(A, A0) and np.array_equal(B, B0)
         assert np.abs(rep.result - A0 @ B0).max() <= 1e-12 * float(np.abs(A0 @ B0).max())
+
+
+@pytest.mark.parametrize("size,cutoff", [(100, 8), (64, 8)], ids=["padded", "unpadded"])
+def test_recursive_transposed_b(size, cutoff, nprng):
+    # B's padded copy must be row-major whatever B's order: the product is
+    # written through a flat view of it
+    dec = EXECUTOR_DECS["orbit2"]()
+    A, B = nprng.standard_normal((2, size, size))
+    for X, Y in ((A, B.T), (A.T, B.T)):
+        rep = multiply_recursive(dec, X, Y, cutoff=cutoff)
+        assert rep.recursion_depth >= 1
+        assert np.abs(rep.result - X @ Y).max() <= 1e-12 * float(np.abs(X @ Y).max())
 
 
 def _peak_within_law(dec, A, B, cutoff):

@@ -84,6 +84,15 @@ def test_gen_s4_family_theta_sixths_matches_theta(tmp_path, capsys):
     assert sixths.read_bytes() == theta.read_bytes()
 
 
+def test_gen_s4_family_huge_theta_sixths_reads_k_mod_12(tmp_path, capsys):
+    # k * pi / 6 overflows a float for a huge k; theta depends only on k mod 12
+    huge, three = tmp_path / "huge.json", tmp_path / "three.json"
+    base = ("gen", "--n", "3", "--scheme", "s4-family")
+    assert run(capsys, *base, "--theta-sixths", str(12 * 10**400 + 3), "-o", str(huge))[0] == 0
+    assert run(capsys, *base, "--theta-sixths", "3", "-o", str(three))[0] == 0
+    assert huge.read_bytes() == three.read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv,option",
     [
@@ -500,7 +509,7 @@ def test_multiply_unwritable_output_exits_2(tmp_path, capsys):
     assert "cannot write matrix file" in err
 
 
-def test_multiply_invalid_dec_refused_without_force(tmp_path, capsys):
+def test_multiply_invalid_dec_writes_nothing(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     run(capsys, "gen", "--n", "2", "--scheme", "strassen-theta", "--theta", "0.26", "-o", str(bad))
     fa = tmp_path / "a.txt"
@@ -511,6 +520,33 @@ def test_multiply_invalid_dec_refused_without_force(tmp_path, capsys):
     assert "warning" in err
     assert err.startswith("warning: decomposition residual ") and err.endswith(" exceeds tolerance\n")
     assert not fc.exists()
+
+
+def test_multiply_checks_dec_before_reading_matrices(tmp_path, capsys):
+    # an invalid decomposition is refused before A or B is read: a missing
+    # A file does not turn the exit 1 into a read error
+    bad = tmp_path / "bad.json"
+    run(capsys, "gen", "--n", "2", "--scheme", "strassen-theta", "--theta", "0.3", "-o", str(bad))
+    fb, fc = tmp_path / "b.txt", tmp_path / "c.txt"
+    save_matrix(np.eye(2), fb)
+    code, out, err = run(capsys, "multiply", str(bad), str(tmp_path / "missing.txt"), str(fb), "-o", str(fc))
+    assert code == 1 and out == ""
+    assert err.startswith("warning: decomposition residual ") and err.endswith(" exceeds tolerance\n")
+    assert not fc.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "multiply"])
+def test_rational_entry_beyond_float64_exits_2(tmp_path, capsys, command):
+    # 10^400 has no float64 value: the file is refused, not called invalid
+    q = ["1/1", "0/1", "0/1", "1/1"]
+    doc = {"format_version": 1, "n": 2, "scalar_kind": "rational", "terms": [{"a": ["1" + "0" * 400 + "/1"] + q[1:], "b": q, "c": q}]}
+    path, fa = tmp_path / "huge.json", tmp_path / "a.txt"
+    path.write_text(json.dumps(doc))
+    save_matrix(np.eye(2), fa)
+    extra = {"verify": (), "analyze": (), "multiply": (str(fa), str(fa), "-o", str(tmp_path / "c.txt"))}[command]
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert code == 2 and out == ""
+    assert "outside float64's range" in err
 
 
 @pytest.mark.parametrize(

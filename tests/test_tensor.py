@@ -12,6 +12,7 @@ from orbitmm.tensor import (
     MAX_DENSE_BYTES,
     Decomposition,
     Rank1Term,
+    RefusedInput,
     is_exact,
     mm_support,
     mm_tensor,
@@ -290,3 +291,11 @@ def test_to_float(rng):
     assert not flt.exact and (flt.scheme, flt.params) == (exact.scheme, exact.params)
     for X, Y in zip((flt.U, flt.V, flt.W), (exact.U, exact.V, exact.W)):
         assert X.dtype == np.float64 and np.array_equal(X, Y.astype(np.float64))
+
+
+def test_to_float_refuses_entry_beyond_float64():
+    X = np.full((1, 2, 2), Fraction(0), dtype=object)
+    Y = X.copy()
+    Y[0, 0, 0] = Fraction(10**400)
+    with pytest.raises(RefusedInput, match="outside float64's range"):
+        Decomposition(X, Y, X).to_float()
