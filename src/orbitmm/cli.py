@@ -77,18 +77,17 @@ def _gen(args) -> int:
         raise RefusedInput(f"--variant applies to s4-family only, not to --scheme {scheme}")
     if scheme == "lattice":
         dec = lattice_decomposition(simplex_frame(n))
-    elif scheme == "orbit":
-        dec = orbit_decomposition(orbit_spec_for(n))
-    elif scheme == "strassen-theta":
-        if n != 2:
-            raise RefusedInput("strassen-theta requires n = 2")
-        dec = orbit_decomposition(_strassen_spec(args))
-    elif scheme == "s4-family":
-        if n != 3:
-            raise RefusedInput("s4-family requires n = 3")
-        which, signch = (args.variant or "u-minus").split("-")
-        sign = 1 if signch == "plus" else -1
-        dec = orbit_decomposition(s4_family_spec(which, sign, _theta_from_args(args)))
+    else:
+        if scheme == "orbit":
+            spec = orbit_spec_for(n)
+        elif scheme == "strassen-theta":
+            spec = _strassen_spec(args)
+        else:
+            which, signch = (args.variant or "u-minus").split("-")
+            spec = s4_family_spec(which, 1 if signch == "plus" else -1, _theta_from_args(args))
+        if spec.frame.n != n:  # each seed family has the n of its orbit-table frame
+            raise RefusedInput(f"{scheme} requires n = {spec.frame.n}")
+        dec = orbit_decomposition(spec)
     save_decomposition(dec, args.output)
     print(f"wrote {args.output}: n={dec.n} scheme={dec.scheme} rank={dec.rank} params={dec.params}")
     return 0
@@ -104,13 +103,14 @@ def _verify(args) -> int:
         label = dec.params.get("frame", f"generic-{dec.n}")
         if not isinstance(label, str):
             raise RefusedInput(f"frame label {label!r} is not a string")
-        frame = simplex_frame(dec.n) if label == f"generic-{dec.n}" else fixture_frame(label)
-        if frame.n != dec.n:
+        frame = None if label == f"generic-{dec.n}" else fixture_frame(label)
+        if frame is not None and frame.n != dec.n:
             raise RefusedInput(f"frame {label!r} has n={frame.n}, but the file has n={dec.n}")
     # unread in exact-gram mode, yet one of the 4 tensor_of calls perfbench/workloads.py pins there
     rep = verify_float(dec, tol=args.tol)
     inv = invariants_report(dec)
     if args.mode == "exact-gram":
+        frame = frame or simplex_frame(dec.n)  # after verify_float has refused an oversized n
         residual = verify_exact_gram(frame)
         # tie the certificate to the file: its terms must match the frame's lattice
         dev = tensor_of(dec.to_float())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -110,8 +110,7 @@ def lattice_decomposition(frame: Frame) -> Decomposition:
     n = frame.n
     w = frame.vectors
     c = n / (n + 1)
-    triples = [t for t in product(range(frame.size), repeat=3) if len(set(t)) == 3]
-    i, j, k = np.array(triples, dtype=int).reshape(-1, 3).T
+    i, j, k = np.array(list(permutations(range(frame.size), 3)), dtype=int).reshape(-1, 3).T
 
     def dyads(x, y):  # c |w_x><w_y - w_x| for each pair of index arrays
         return c * (w[x][:, :, None] * (w[y] - w[x])[:, None, :])

@@ -110,9 +110,6 @@ def _load_stack(rows: list, n: int, kind: str) -> np.ndarray:
 def load_decomposition(path) -> Decomposition:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise SchemaError(f"cannot read decomposition file: {e}") from e
-    try:
         if doc["format_version"] != FORMAT_VERSION:
             raise SchemaError(f"unsupported format_version {doc['format_version']}")
         n, kind = doc["n"], doc["scalar_kind"]
@@ -130,9 +127,12 @@ def load_decomposition(path) -> Decomposition:
         terms = doc["terms"]
         U, V, W = (_load_stack([t[s] for t in terms], n, kind) for s in "abc")
         return Decomposition(U, V, W, scheme, params)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-        if isinstance(e, SchemaError):
-            raise
+    except SchemaError:
+        raise
+    # a JSON decode error is a ValueError, so the read failures come first
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise SchemaError(f"cannot read decomposition file: {e}") from e
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
         raise SchemaError(f"malformed decomposition file: {e}") from e
 
 

@@ -242,6 +242,32 @@ def test_recursive_matches_reference(name, kind, nprng):
         assert np.abs(rep.result - A @ B).max() <= 1e-12 * scale
 
 
+# (size, cutoff, depth): depths 0 to 6, padded and unpadded sizes; the
+# rank-12 scheme stops at depth 5, as its 12^6 leaves at depth 6 take
+# seconds a product
+EXACT_CASES = [(200, 256, 0), (5, 4, 1), (8, 2, 2), (6, 2, 2), (8, 1, 3), (37, 4, 4), (100, 8, 4), (32, 1, 5)]
+
+
+@pytest.mark.parametrize("name", ["naive2", "spill12"])
+def test_recursive_exact_on_integer_floats(name, nprng):
+    # integer-valued inputs and integer coefficients of magnitude at most 1
+    # keep every block sum and leaf product an integer below 2^53, so the
+    # product equals A @ B bit for bit whatever the summation order.
+    # spill12 is naive2 plus the integer pairs (a, b, c) and (a, b, -c):
+    # rank 12, whose children's stacks spill into the workspace
+    dec, cases = naive2(), EXACT_CASES + [(64, 1, 6)]
+    if name == "spill12":
+        a, b, c = nprng.integers(-1, 2, (3, 2, 2, 2)).astype(np.float64)
+        dec = Decomposition(np.concatenate([dec.U, a, a]), np.concatenate([dec.V, b, b]), np.concatenate([dec.W, c, -c]))
+        cases = EXACT_CASES
+    for size, cutoff, depth in cases:
+        A, B = nprng.integers(-3, 4, (2, size, size)).astype(np.float64)
+        for X, Y in ((A, B), (A.T, B.T)):
+            rep = multiply_recursive(dec, X, Y, cutoff=cutoff)
+            assert rep.recursion_depth == depth
+            assert np.array_equal(rep.result, X @ Y)
+
+
 def _with_cancelling_pairs(dec, pairs, nprng):
     """dec plus the terms (a, b, c) and (a, b, -c) for `pairs` random
     triples: the same product at rank dec.rank + 2 * pairs."""

@@ -287,6 +287,25 @@ def test_verify_exact_gram_refuses_before_any_dense_build(tmp_path, capsys, monk
     assert (code, len(calls)) == ((0, 4) if case == "valid" else (2, 0))
 
 
+def test_verify_exact_gram_refuses_oversized_n_before_building_a_frame(tmp_path, capsys, monkeypatch):
+    # a rank-0 lattice file of about 100 bytes at n = 10^6: its generic
+    # frame's n x (n+1) basis and (n+1)^2 Gram would need about 8e12 bytes
+    calls = []
+    real = orbitmm.frames.simplex_frame
+
+    def recorded(n):
+        calls.append(n)
+        return real(1)
+
+    monkeypatch.setattr("orbitmm.cli.simplex_frame", recorded)
+    doc = {"format_version": 1, "n": 10**6, "scheme": "lattice", "scalar_kind": "float64", "terms": []}
+    path = tmp_path / "huge-n.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path), "--mode", "exact-gram")
+    assert code == 2 and out == "" and "n=1000000" in err
+    assert calls == []
+
+
 def _corrupted_lattice3(tmp_path, capsys):
     """The n=3 lattice file with term 1's a[0] set to 5.0."""
     path = gen_lattice(tmp_path, capsys, 3)
@@ -547,6 +566,35 @@ def test_rational_entry_beyond_float64_exits_2(tmp_path, capsys, command):
     code, out, err = run(capsys, command, str(path), *extra)
     assert code == 2 and out == ""
     assert "outside float64's range" in err
+
+
+def _unloadable(tmp_path, capsys, case):
+    """A decomposition file that the loader cannot turn into factor stacks:
+    a float64 file with the JSON integer 10^400, beyond float64's range, as
+    an entry, or an array nested deeper than the JSON parser's recursion limit."""
+    path = tmp_path / f"{case}.json"
+    if case == "huge-int":
+        run(capsys, "gen", "--n", "2", "--scheme", "orbit", "-o", str(path))
+        doc = json.loads(path.read_text())
+        doc["terms"][1]["a"][0] = 10**400
+        path.write_text(json.dumps(doc))
+    else:
+        path.write_text("[" * 100000)
+    return path
+
+
+@pytest.mark.parametrize("case, message", [("huge-int", "malformed"), ("deep", "cannot read")])
+@pytest.mark.parametrize("command", ["verify", "analyze", "multiply", "bench"])
+def test_unloadable_decomposition_file_exits_2(tmp_path, capsys, command, case, message):
+    path, fa = _unloadable(tmp_path, capsys, case), tmp_path / "a.txt"
+    save_matrix(np.eye(2), fa)
+    extra = {
+        "verify": (), "analyze": (), "bench": ("--sizes", "4"),
+        "multiply": (str(fa), str(fa), "-o", str(tmp_path / "c.txt")),
+    }[command]
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message} decomposition file: ")
 
 
 @pytest.mark.parametrize(
