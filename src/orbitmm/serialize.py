@@ -14,9 +14,11 @@ Decomposition files are JSON documents:
 with each matrix stored row-major; rationals serialize as "p/q" strings and
 floats as 17-significant-digit decimals, so both kinds round-trip losslessly.
 The file keeps one record per term; in memory each side is one factor stack
-(see `tensor`).  Loading parses a side of all terms at once: one float64
-array conversion, or one list of Fractions for rational files.  Saving
-writes the bytes of json.dumps(doc, indent=1), the terms laid out by joins.
+(see `tensor`).  A factor often recurs across terms (the lattice's n^3 - n
++ 1 terms have n^2 + n + 1 distinct factors per side), so each distinct
+factor row is parsed and formatted once and indexed back into the stack.
+Saving writes the bytes of json.dumps(doc, indent=1), the terms laid out
+by joins.
 
 Matrix files are plain text: first line "rows cols", then row-major
 whitespace-separated decimals.  Both directions stream, a row or a line at
@@ -55,23 +57,33 @@ def _dump_scalar(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _dump_stack(X: np.ndarray) -> list[list[str]]:
-    """Each factor of a stack as its row-major list of scalar strings; a
-    float stack formats each distinct bit pattern once, by one %-operation
-    over all of them, and indexes the strings back."""
-    shape = (len(X), X.shape[1] * X.shape[2])
+def _dump_stack(X: np.ndarray) -> tuple[list[list[str]], list[int]]:
+    """The distinct factors of a stack as row-major lists of scalar strings,
+    and each factor's index among them.  Float factors are told apart by
+    their bytes (0.0 and -0.0 differ), and each distinct bit pattern in them
+    is formatted once, by one %-operation."""
+    flat = X.reshape(len(X), X.shape[1] * X.shape[2])
     if is_exact(X):
-        return [[_dump_scalar(x) for x in row] for row in X.reshape(shape).tolist()]
-    bits, where = np.unique(np.ascontiguousarray(X, dtype=np.float64).view(np.int64), return_inverse=True)
+        keys = map(tuple, flat.tolist())
+    else:
+        flat = np.ascontiguousarray(flat, dtype=np.float64)
+        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel().tolist()
+    distinct: dict = {}
+    where = [distinct.setdefault(k, len(distinct)) for k in keys]
+    if is_exact(X):
+        return [[_dump_scalar(x) for x in row] for row in distinct], where
+    rows = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(len(distinct), flat.shape[1])
+    bits, inverse = np.unique(rows, return_inverse=True)
     values = bits.view(np.float64).tolist()
     strings = (" ".join(["%.17g"] * len(values)) % tuple(values)).split(" ")
-    return np.array(strings, dtype=object)[where.reshape(shape)].tolist()
+    return np.array(strings, dtype=object)[inverse.reshape(rows.shape)].tolist(), where
 
 
 def save_decomposition(dec: Decomposition, path) -> None:
     """Write json.dumps(doc, indent=1) byte for byte: the header fields through
     json, then the terms (the last field) laid out by joins, as the tokens of
-    `_dump_stack` (digits, sign, ".", "e", "/", inf, nan) need no escaping."""
+    `_dump_stack` (digits, sign, ".", "e", "/", inf, nan) need no escaping;
+    each distinct factor is joined once."""
     head = {
         "format_version": FORMAT_VERSION,
         "n": dec.n,
@@ -80,10 +92,12 @@ def save_decomposition(dec: Decomposition, path) -> None:
         "scalar_kind": "rational" if dec.exact else "float64",
     }
     side = '   "%s": [\n    "%s"\n   ]'
-    terms = ",\n".join(
-        "  {\n" + ",\n".join(side % (s, '",\n    "'.join(x)) for s, x in zip("abc", t)) + "\n  }"
-        for t in zip(*(_dump_stack(X) for X in (dec.U, dec.V, dec.W)))
-    )
+    sides = []
+    for s, X in zip("abc", (dec.U, dec.V, dec.W)):
+        rows, where = _dump_stack(X)
+        texts = [side % (s, '",\n    "'.join(row)) for row in rows]
+        sides.append([texts[i] for i in where])
+    terms = ",\n".join("  {\n" + ",\n".join(t) + "\n  }" for t in zip(*sides))
     # reopen the header's closing "\n}" to append "terms" as its last field
     text = json.dumps(head, indent=1)[:-2] + ',\n "terms": ' + (f"[\n{terms}\n ]" if terms else "[]") + "\n}"
     try:
@@ -94,17 +108,34 @@ def save_decomposition(dec: Decomposition, path) -> None:
 
 def _load_stack(rows: list, n: int, kind: str) -> np.ndarray:
     """One side of the file's terms, each a row-major list of n*n scalar
-    strings, as a (rank, n, n) stack of the file's scalar kind."""
+    strings, as a (rank, n, n) stack of the file's scalar kind.  Each
+    distinct row is converted once, in order of first appearance.  Its key,
+    its strings joined by ",", is shared only by equal rows or by rows that
+    hold a "," and are refused, so a refusal names the same entry as a
+    conversion of every row.  A number joins to no key (0 == -0.0 would
+    merge rows), so a file that holds one converts every row."""
     for row in rows:
         if len(row) != n * n:
             raise SchemaError(f"matrix has {len(row)} entries, expected {n * n}")
+        if not isinstance(row, list):  # a JSON string or object has a length too
+            raise TypeError(f"matrix must be a list, got {type(row).__name__}")
+    distinct: dict = {}
+    try:
+        where = [distinct.setdefault(",".join(row), len(distinct)) for row in rows]
+        repeats = len(distinct) < len(rows)
+    except TypeError:
+        repeats = False
+    if repeats:
+        rows = [rows[i] for i in np.unique(where, return_index=True)[1]]
+    else:
+        where = slice(None)
     if kind == "rational":
         if bad := [s for row in rows for s in row if not isinstance(s, str)]:  # a JSON 0.1 is not 1/10
             raise SchemaError(f"rational entries must be 'p/q' strings, got {bad[0]!r}")
-        X = np.array([Fraction(s) for row in rows for s in row], dtype=object)
+        X = np.array([Fraction(s) for row in rows for s in row], dtype=object).reshape(len(rows), n * n)[where]
     else:
-        X = _finite(np.array(rows, dtype=np.float64), "float64 matrix")
-    return X.reshape(len(rows), n, n)
+        X = _finite(np.array(rows, dtype=np.float64).reshape(len(rows), n * n)[where], "float64 matrix")
+    return X.reshape(-1, n, n)
 
 
 def load_decomposition(path) -> Decomposition:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -14,11 +15,11 @@ from orbitmm.constructions import (
     strassen_theta,
     strassen_theta_sixths,
 )
+from orbitmm.cli import main
 from orbitmm.frames import simplex_frame
 from orbitmm.tensor import Decomposition
 from orbitmm.serialize import (
     SchemaError,
-    _dump_stack,
     load_decomposition,
     load_matrix,
     save_decomposition,
@@ -97,14 +98,35 @@ def test_rational_scalars_survive(tmp_path):
         Fraction(flat[0])  # parses
 
 
-def test_dump_stack_matches_per_entry_format(nprng):
-    # float factors are pinned to one format(float(x), ".17g") per entry
+def _per_entry_text(X):
+    """Each factor of a stack as its list of entry strings, formatted one
+    entry at a time: the reference for the saved file."""
+    if X.dtype == object:
+        return [[f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in f.flat] for f in X]
+    return [[format(float(x), ".17g") for x in f.flat] for f in X]
+
+
+def test_dump_stack_matches_per_entry_format(tmp_path, nprng):
+    # float factors are pinned to one format(float(x), ".17g") per entry; the
+    # repeats, one of them differing from factor 0 only in the sign of a zero,
+    # exercise the writer's distinct-factor key
     special = [0.0, -0.0, 5e-324, 1e300, -1e-300, 1 / 3, 1e16, -5e-324, 2.0**53 + 2]
     X = np.concatenate([special, nprng.standard_normal(27) * 10.0 ** nprng.integers(-300, 300, 27)]).reshape(4, 3, 3)
-    assert _dump_stack(X) == [[format(float(x), ".17g") for x in f.flat] for f in X]
-    assert _dump_stack(X)[0][:2] == ["0", "-0"]
+    flipped = X[:1].copy()
+    flipped.flat[:2] = [-0.0, 0.0]
+    X = np.concatenate([X[[0, 1, 0, 2, 3, 1]], flipped, X[:1]])
     Q = np.array([Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(5, 7)], dtype=object).reshape(1, 2, 2)
-    assert _dump_stack(Q) == [["1/3", "-2/1", "0/1", "5/7"]]
+    Q = np.concatenate([Q, -Q, Q, np.full((1, 2, 2), 1, dtype=object)])
+    for Y in (X, Q):
+        path = tmp_path / "d.json"
+        save_decomposition(Decomposition(Y, Y[::-1].copy(), -Y), path)
+        terms = json.loads(path.read_text())["terms"]
+        for s, Z in zip("abc", (Y, Y[::-1], -Y)):
+            assert [t[s] for t in terms] == _per_entry_text(Z)
+    assert terms[0]["a"] == ["1/3", "-2/1", "0/1", "5/7"] and terms[3]["a"] == ["1/1"] * 4
+    save_decomposition(Decomposition(X, X, X), path)
+    terms = json.loads(path.read_text())["terms"]
+    assert terms[0]["a"][:2] == ["0", "-0"] and terms[6]["a"][:2] == ["-0", "0"]
 
 
 @pytest.mark.parametrize("name", ["lattice-7", "all-distinct"])
@@ -124,7 +146,7 @@ def test_saved_floats_match_per_entry_format(tmp_path, nprng, name):
 
 def _json_doc(dec):
     """The document a decomposition file holds, as json would encode it."""
-    a, b, c = (_dump_stack(X) for X in (dec.U, dec.V, dec.W))
+    a, b, c = (_per_entry_text(X) for X in (dec.U, dec.V, dec.W))
     return {
         "format_version": 1,
         "n": dec.n,
@@ -161,6 +183,138 @@ def test_save_decomposition_bytes_equal_json_dumps(tmp_path, name):
     assert path.read_text() == json.dumps(_json_doc(dec), indent=1)
     if name == "rank-0":
         assert '"terms": []' in path.read_text()
+
+
+def _per_entry_stacks(path):
+    """The file's three stacks converted one entry at a time: the reference
+    for the loader, which converts each distinct factor row once."""
+    doc = json.loads(path.read_text())
+    n, terms = doc["n"], doc["terms"]
+    for s in "abc":
+        rows = [t[s] for t in terms]
+        if doc["scalar_kind"] == "rational":
+            yield np.array([Fraction(x) for row in rows for x in row], dtype=object).reshape(len(rows), n, n)
+        else:
+            yield np.array(rows, dtype=np.float64).reshape(len(rows), n, n)
+
+
+def _assert_per_entry_load(path):
+    dec = load_decomposition(path)
+    for X, R in zip((dec.U, dec.V, dec.W), _per_entry_stacks(path)):
+        assert X.shape == R.shape and X.dtype == R.dtype
+        if X.dtype == object:
+            assert X.tolist() == R.tolist() and all(type(x) is Fraction for x in X.flat)
+        else:
+            assert np.array_equal(X.view(np.int64), R.view(np.int64))
+    return dec
+
+
+GEN_ARGS = {
+    **{f"lattice-{n}": ["--n", str(n), "--scheme", "lattice"] for n in range(1, 8)},
+    **{f"orbit-{n}": ["--n", str(n), "--scheme", "orbit"] for n in (2, 3, 4)},
+    **{f"theta-sixths-{k}": ["--n", "2", "--scheme", "strassen-theta", "--theta-sixths", str(k)] for k in range(12)},
+    "theta-0.3": ["--n", "2", "--scheme", "strassen-theta", "--theta", "0.3"],
+    **{f"s4-{v}": ["--n", "3", "--scheme", "s4-family", "--variant", v] for v in ("u-minus", "u-plus", "v-minus", "v-plus")},
+}
+
+def _repeated(dec, terms):
+    return Decomposition(dec.U[terms], dec.V[terms], dec.W[terms], dec.scheme, dec.params)
+
+
+SAVED_STACKS = {
+    "all-distinct-7": lambda: Decomposition(*np.random.default_rng(7).standard_normal((3, 337, 7, 7))),
+    "rational-repeats": lambda: _repeated(_rational_dec(), [0, 1, 1, 0, 1]),
+    "rank-0": lambda: Decomposition(*np.zeros((3, 0, 3, 3))),
+    "rank-0-rational": lambda: Decomposition(*np.zeros((3, 0, 3, 3), dtype=object)),
+}
+
+
+@pytest.mark.parametrize("name", [*GEN_ARGS, *SAVED_STACKS])
+def test_load_matches_per_entry_and_save_of_load_is_identity(tmp_path, name):
+    # every file gen writes, and stacks with no repeated factor, repeated
+    # rational factors and no factor at all
+    path, again = tmp_path / "d.json", tmp_path / "again.json"
+    if name in GEN_ARGS:
+        assert main(["gen", *GEN_ARGS[name], "-o", str(path)]) == 0
+    else:
+        save_decomposition(SAVED_STACKS[name](), path)
+    save_decomposition(_assert_per_entry_load(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _write_terms(path, kind, n, sides):
+    """A file whose terms take their a, b and c sides from `sides` (JSON values)."""
+    terms = [dict(zip("abc", t)) for t in sides]
+    path.write_text(json.dumps({"format_version": 1, "n": n, "scalar_kind": kind, "terms": terms}))
+
+
+@pytest.mark.parametrize(
+    "zeros",
+    [[0.0, -0.0, 0, False, -0.0, "-0", "0", "-0.0", 0.0], ["0", "-0", "0", "0.0", "-0", "-0", "0", "-0.0", "0"]],
+)
+def test_loader_keeps_the_sign_of_zero_literals(tmp_path, zeros):
+    # as keys 0.0 == -0.0 == 0 == False; a file of strings alone takes the
+    # distinct-row path, one with numbers converts every row
+    rows = [[z, "1.5", "2", "3"] for z in zeros]
+    path = tmp_path / "z.json"
+    _write_terms(path, "float64", 2, [(r, rows[-1 - i], r) for i, r in enumerate(rows)])
+    dec = _assert_per_entry_load(path)
+    assert np.signbit(dec.U[:, 0, 0]).tolist() == [False, True, False, False, True, True, False, True, False]
+
+
+@pytest.mark.parametrize(
+    "kind, message", [("float64", "could not convert string to float: {!r}"), ("rational", "Invalid literal for Fraction: {!r}")]
+)
+@pytest.mark.parametrize("first, second", [(["1", "2,3", "4", "5"], ["1,2", "3", "4", "5"]), (["1,2", "3", "4", "5"], ["1", "2,3", "4", "5"])])
+def test_rows_of_one_key_are_refused_at_the_first(tmp_path, kind, message, first, second):
+    # both rows join to "1,2,3,4,5": the refusal names the first in file order
+    good = ["1", "2", "3", "4"]
+    path = tmp_path / "bad.json"
+    _write_terms(path, kind, 2, [(good, good, good), (good, first, good), (good, second, good), (good, first, good)])
+    bad = next(x for x in first if "," in x)
+    with pytest.raises(SchemaError, match=f"malformed decomposition file: {re.escape(message.format(bad))}$"):
+        load_decomposition(path)
+
+
+@pytest.mark.parametrize("kind", ["float64", "rational"])
+@pytest.mark.parametrize("side", ["1001", {"1": 0, "0": 0, "00": 0, "01": 0}])
+def test_side_that_is_not_a_list_rejected(tmp_path, kind, side):
+    # a string or object of n*n entries has the length of a factor; a
+    # rational file once read "1001" as its four characters
+    q = ["1", "0", "0", "1"]
+    path = tmp_path / "bad.json"
+    _write_terms(path, kind, 2, [(q, q, q), (q, side, q)])
+    with pytest.raises(SchemaError, match=f"malformed decomposition file: matrix must be a list, got {type(side).__name__}"):
+        load_decomposition(path)
+
+
+@pytest.mark.parametrize("entry", ["inf", "-inf", "nan", math.inf, math.nan, None])
+def test_non_finite_refusal_names_the_file_entry(tmp_path, entry):
+    # the bad factor repeats, and its distinct row is not the first: the
+    # message still names its first entry in file order
+    good, bad = ["1", "2", "3", "4"], ["1", "2", entry, "4"]
+    path = tmp_path / "bad.json"
+    _write_terms(path, "float64", 2, [(good, good, good)] * 2 + [(good, bad, good), (good, good, good), (good, bad, good)])
+    value = np.array(entry, dtype=np.float64)
+    with pytest.raises(SchemaError, match=rf"non-finite value \({value}\) at entry 10$"):
+        load_decomposition(path)
+
+
+@pytest.mark.parametrize(
+    "second, third, got",
+    [
+        (["0/1", 0, "0/1", "1/1"], ["0/1", -0.0, "0/1", "1/1"], "0"),
+        (["0/1", -0.0, "0/1", "1/1"], ["0/1", 0, "0/1", "1/1"], "-0.0"),
+        (["1/1", "0/1", True, "1/1"], [1, "0/1", "0/1", "1/1"], "True"),
+        (["1/1", "0/1", "0/1", "1/1"], ["1/1", [1], "0/1", "1/1"], "[1]"),
+    ],
+)
+def test_rational_refusal_names_the_first_non_string(tmp_path, second, third, got):
+    q = ["1/1", "0/1", "0/1", "1/1"]
+    path = tmp_path / "bad.json"
+    _write_terms(path, "rational", 2, [(q, q, q), (second, q, q), (third, q, q), (second, q, q)])
+    with pytest.raises(SchemaError, match=f"must be 'p/q' strings, got {re.escape(got)}$"):
+        load_decomposition(path)
 
 
 def test_nonpositive_n_rejected(tmp_path):
