@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen, verify, analyze, multiply, bench.  Exit codes are stable:
-0 = success / mathematically valid, 1 = mathematically invalid, 2 = usage,
-I/O, or schema error, or an input or argument the package refuses
-(RefusedInput).  Any other exception is a fault of the program and propagates.
+0 = success / mathematically valid, 1 = mathematically invalid, 2 = usage
+error, or an input, argument or file the package refuses (RefusedInput, of
+which serialize's I/O and schema errors are one kind).  Any other exception
+is a fault of the program and propagates.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ from .constructions import (
     strassen_theta_spec,
 )
 from .frames import fixture_frame, lift_permutation, simplex_frame
-from .serialize import (
-    SchemaError,
-    load_decomposition,
-    load_matrix,
-    save_decomposition,
-    save_matrix,
-)
+from .serialize import load_decomposition, load_matrix, save_decomposition, save_matrix
 from .tensor import RefusedInput, tensor_of
 from .verify import DEFAULT_TOL, invariants_report, verify_exact_gram, verify_float
 
@@ -269,7 +264,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, RefusedInput) as e:
+    except RefusedInput as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

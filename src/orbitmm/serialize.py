@@ -18,7 +18,9 @@ The file keeps one record per term; in memory each side is one factor stack
 + 1 terms have n^2 + n + 1 distinct factors per side), so each distinct
 factor row is parsed and formatted once and indexed back into the stack.
 Saving writes the bytes of json.dumps(doc, indent=1), the terms laid out
-by joins.
+by joins.  Loading refuses with SchemaError any file outside the schema,
+such as `terms` that is not a list, a format_version other than the JSON
+integer 1 (not true or 1.0) or a JSON boolean entry in a float64 file.
 
 Matrix files are plain text: first line "rows cols", then row-major
 whitespace-separated decimals.  Both directions stream, a row or a line at
@@ -34,15 +36,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Decomposition, is_exact
+from .tensor import Decomposition, RefusedInput, is_exact
 
 __all__ = ["SchemaError", "save_decomposition", "load_decomposition", "save_matrix", "load_matrix"]
 
 FORMAT_VERSION = 1
 
 
-class SchemaError(ValueError):
-    """Raised when a file does not parse or violates the documented schema."""
+class SchemaError(RefusedInput):
+    """Raised when a file cannot be read or written, or breaks the documented schema."""
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -113,7 +115,7 @@ def _load_stack(rows: list, n: int, kind: str) -> np.ndarray:
     its strings joined by ",", is shared only by equal rows or by rows that
     hold a "," and are refused, so a refusal names the same entry as a
     conversion of every row.  A number joins to no key (0 == -0.0 would
-    merge rows), so a file that holds one converts every row."""
+    merge rows), so a side that holds one converts every row."""
     for row in rows:
         if len(row) != n * n:
             raise SchemaError(f"matrix has {len(row)} entries, expected {n * n}")
@@ -122,16 +124,14 @@ def _load_stack(rows: list, n: int, kind: str) -> np.ndarray:
     distinct: dict = {}
     try:
         where = [distinct.setdefault(",".join(row), len(distinct)) for row in rows]
-        repeats = len(distinct) < len(rows)
-    except TypeError:
-        repeats = False
-    if repeats:
         rows = [rows[i] for i in np.unique(where, return_index=True)[1]]
-    else:
+    except TypeError:  # a non-string entry: a JSON 0.1 is not 1/10, nor a JSON true 1.0
         where = slice(None)
+        rational = kind == "rational"
+        if bad := [s for row in rows for s in row if isinstance(s, bool) or rational and not isinstance(s, str)]:
+            wanted = "'p/q' strings" if rational else "decimal strings or numbers"
+            raise SchemaError(f"{kind} entries must be {wanted}, got {bad[0]!r}")
     if kind == "rational":
-        if bad := [s for row in rows for s in row if not isinstance(s, str)]:  # a JSON 0.1 is not 1/10
-            raise SchemaError(f"rational entries must be 'p/q' strings, got {bad[0]!r}")
         X = np.array([Fraction(s) for row in rows for s in row], dtype=object).reshape(len(rows), n * n)[where]
     else:
         X = _finite(np.array(rows, dtype=np.float64).reshape(len(rows), n * n)[where], "float64 matrix")
@@ -141,8 +141,8 @@ def _load_stack(rows: list, n: int, kind: str) -> np.ndarray:
 def load_decomposition(path) -> Decomposition:
     try:
         doc = json.loads(Path(path).read_text())
-        if doc["format_version"] != FORMAT_VERSION:
-            raise SchemaError(f"unsupported format_version {doc['format_version']}")
+        if (version := doc["format_version"]) != FORMAT_VERSION or type(version) is not int:  # True == 1.0 == 1
+            raise SchemaError(f"unsupported format_version {version}")
         n, kind = doc["n"], doc["scalar_kind"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise SchemaError(f"n must be an integer, got {n!r}")
@@ -155,7 +155,8 @@ def load_decomposition(path) -> Decomposition:
             raise SchemaError(f"scheme must be a string, got {scheme!r}")
         if not isinstance(params, dict):
             raise SchemaError(f"params must be an object, got {params!r}")
-        terms = doc["terms"]
+        if not isinstance(terms := doc["terms"], list):  # an object or a string iterates as keys or characters
+            raise TypeError(f"terms must be a list, got {type(terms).__name__}")
         U, V, W = (_load_stack([t[s] for t in terms], n, kind) for s in "abc")
         return Decomposition(U, V, W, scheme, params)
     except SchemaError:

@@ -57,10 +57,11 @@ __all__ = [
 
 
 class RefusedInput(ValueError):
-    """A documented refusal, raised before any work, of an input or argument
-    the package does not handle: a dense tensor above MAX_DENSE_BYTES, a plan
-    that cannot split, matrices not square and of one size, a rational entry
-    outside float64's range, an unknown fixture frame."""
+    """A documented refusal of an input or argument the package does not
+    handle: a dense tensor above MAX_DENSE_BYTES, a plan that cannot split,
+    matrices not square and of one size, a rational entry outside float64's
+    range, an unknown fixture frame, and (as serialize.SchemaError) a file
+    that cannot be read or written or breaks its schema."""
 
 
 # Largest dense n^6 tensor built here: 1 GiB of float64 entries, so n <= 22.

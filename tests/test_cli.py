@@ -323,6 +323,32 @@ def test_verify_tol_must_be_finite_and_positive(tmp_path, capsys, mode, tol):
     assert code == 2 and "--tol" in err and out == ""
 
 
+@pytest.mark.parametrize("changed", [False, True], ids=["as-written", "one-entry-changed"])
+@pytest.mark.parametrize(
+    "gen_args, mode",
+    [
+        (("--n", "5", "--scheme", "lattice"), "exact-gram"),
+        (("--n", "7", "--scheme", "lattice"), "float"),
+        (("--n", "3", "--scheme", "s4-family"), "float"),
+    ],
+    ids=["lattice-5-exact-gram", "lattice-7", "s4-family"],
+)
+def test_gen_file_verifies_until_one_entry_changes(tmp_path, capsys, gen_args, mode, changed):
+    # the lattices repeat factor rows across terms: a change to one term
+    # must not be read as a change to, or hidden behind, its repeats
+    path = tmp_path / "d.json"
+    assert run(capsys, "gen", *gen_args, "-o", str(path))[0] == 0
+    if changed:
+        doc = json.loads(path.read_text())
+        doc["terms"][5]["b"][3] = "0.25"
+        path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path), "--mode", mode, "--json")
+    rec = json.loads(out)
+    assert (code, rec["valid"]) == ((1, False) if changed else (0, True))
+    if mode == "exact-gram":  # the regenerated lattice is certified; the file tie fails
+        assert rec["residual"] == "0"
+
+
 def test_verify_exact_gram_rejects_corrupted_lattice_file(tmp_path, capsys):
     # the frame's certificate is exact 0; the file tie is what fails
     path = _corrupted_lattice3(tmp_path, capsys)
@@ -474,15 +500,17 @@ def test_analyze_file(tmp_path, capsys):
 
 
 def test_multiply_end_to_end(tmp_path, capsys, nprng):
+    # 6^2 at cutoff 1, and 100^2 at cutoff 8, padded to 128^2
     dec = gen_lattice(tmp_path, capsys)
-    A = nprng.standard_normal((6, 6))
-    B = nprng.standard_normal((6, 6))
     fa, fb, fc = (tmp_path / x for x in ("a.txt", "b.txt", "c.txt"))
-    save_matrix(A, fa)
-    save_matrix(B, fb)
-    code, _, _ = run(capsys, "multiply", str(dec), str(fa), str(fb), "--cutoff", "1", "-o", str(fc))
-    assert code == 0
-    assert np.abs(load_matrix(fc) - A @ B).max() < 1e-9
+    for size, cutoff in ((6, "1"), (100, "8")):
+        A = nprng.standard_normal((size, size))
+        B = nprng.standard_normal((size, size))
+        save_matrix(A, fa)
+        save_matrix(B, fb)
+        code, _, _ = run(capsys, "multiply", str(dec), str(fa), str(fb), "--cutoff", cutoff, "-o", str(fc))
+        assert code == 0
+        assert np.abs(load_matrix(fc) - A @ B).max() < 1e-9
 
 
 def test_multiply_non_finite_matrix_exits_2(tmp_path, capsys):
@@ -630,6 +658,37 @@ def test_bench_json(tmp_path, capsys):
         ]
         for r in rows
     )
+
+
+def _spilling_rank12():
+    """The naive n=2 product plus the random pairs (a, b, c) and (a, b, -c):
+    rank 12, whose children's stacks spill into the executor's workspace."""
+    E = np.eye(4).reshape(4, 2, 2)
+    i, j, k = np.indices((2, 2, 2)).reshape(3, -1)
+    a, b, c = np.random.default_rng(0).standard_normal((3, 2, 2, 2))
+    return Decomposition(
+        np.concatenate([E[2 * i + j], a, a]), np.concatenate([E[2 * j + k], b, b]), np.concatenate([E[2 * k + i], c, -c])
+    )
+
+
+@pytest.mark.parametrize(
+    "scheme, sizes",
+    [("orbit", "2,16,24"), ("orbit", "64,100"), ("spill12", "40")],
+    ids=["orbit-depths-0-1-2", "orbit-padded", "spill12"],
+)
+def test_bench_is_accurate_at_cutoff_8(tmp_path, capsys, scheme, sizes):
+    # sizes 2, 16 and 24 run depths 0, 1 and 2, 100 is padded to 128, and
+    # the rank-12 file, which verify accepts, spills at 40
+    path = tmp_path / f"{scheme}.json"
+    if scheme == "orbit":
+        assert run(capsys, "gen", "--n", "2", "--scheme", "orbit", "-o", str(path))[0] == 0
+    else:
+        save_decomposition(_spilling_rank12(), path)
+        assert run(capsys, "verify", str(path))[0] == 0
+    code, out, _ = run(capsys, "bench", str(path), "--sizes", sizes, "--cutoff", "8", "--json")
+    rows = json.loads(out)
+    assert code == 0 and [r["size"] for r in rows] == [int(x) for x in sizes.split(",")]
+    assert all(r["max_error"] < 1e-9 for r in rows)
 
 
 def _refuse_constant(name):

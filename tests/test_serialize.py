@@ -250,10 +250,10 @@ def _write_terms(path, kind, n, sides):
 
 @pytest.mark.parametrize(
     "zeros",
-    [[0.0, -0.0, 0, False, -0.0, "-0", "0", "-0.0", 0.0], ["0", "-0", "0", "0.0", "-0", "-0", "0", "-0.0", "0"]],
+    [[0.0, -0.0, 0, 0, -0.0, "-0", "0", "-0.0", 0.0], ["0", "-0", "0", "0.0", "-0", "-0", "0", "-0.0", "0"]],
 )
 def test_loader_keeps_the_sign_of_zero_literals(tmp_path, zeros):
-    # as keys 0.0 == -0.0 == 0 == False; a file of strings alone takes the
+    # as keys 0.0 == -0.0 == 0; a file of strings alone takes the
     # distinct-row path, one with numbers converts every row
     rows = [[z, "1.5", "2", "3"] for z in zeros]
     path = tmp_path / "z.json"
@@ -354,6 +354,43 @@ def test_rational_entry_must_be_a_string(entry, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=f"must be 'p/q' strings, got {entry!r}"):
         load_decomposition(path)
+
+
+# files that loaded before they were refused: terms as an object or a
+# string (as rank 0), a JSON boolean entry in a float64 file (as 1.0 or 0.0)
+# and a format_version equal to 1 that is not the JSON integer 1
+LOADER_HOLES = {
+    "terms-object": ("terms", {}, "malformed decomposition file: terms must be a list, got dict"),
+    "terms-string": ("terms", "", "malformed decomposition file: terms must be a list, got str"),
+    "boolean-entry": ("a", [True, False, False, True], "float64 entries must be decimal strings or numbers, got True"),
+    "version-true": ("format_version", True, "unsupported format_version True"),
+    "version-float": ("format_version", 1.0, "unsupported format_version 1.0"),
+}
+
+
+def _holed_orbit_file(path, case):
+    """The n=2 orbit file with one field, or term 0's a side, replaced as in LOADER_HOLES."""
+    save_decomposition(orbit_decomposition(orbit_spec_for(2)), path)
+    doc = json.loads(path.read_text())
+    field, value, _ = LOADER_HOLES[case]
+    (doc["terms"][0] if field == "a" else doc)[field] = value
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("case", LOADER_HOLES)
+def test_loader_holes_refused(tmp_path, case):
+    path = _holed_orbit_file(tmp_path / "bad.json", case)
+    with pytest.raises(SchemaError, match=re.escape(LOADER_HOLES[case][2]) + "$"):
+        load_decomposition(path)
+
+
+@pytest.mark.parametrize("case", LOADER_HOLES)
+def test_verify_exits_2_on_loader_holes(tmp_path, capsys, case):
+    path = _holed_orbit_file(tmp_path / "bad.json", case)
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {LOADER_HOLES[case][2]}\n"
 
 
 def test_truncated_file_rejected(tmp_path):
