@@ -6,13 +6,12 @@ The combination rule is fixed once, derived from the pairing convention
     AB = sum_r <a_r, A> <b_r, B> c_r^T,   <X, Y> = tr(X^T Y).
 
 Recursion replaces the scalar inner products by block-weighted sums and
-switches to the plain product at or below the cutoff size.  Inputs whose size
-is not a power of dec.n are padded with zeros to the next one.  Scalar
+switches to the plain product at or below the cutoff size.  Scalar
 multiplication counts are exact: only the multiplications of the base-case
-products are counted (s^3 for an s x s base block), giving
-rank^depth * cutoff_cost overall.  There is one executor, multiply_recursive;
-multiply_via is its one-level case (cutoff 1 at the decomposition's own
-size).
+products are counted, summed over the leaves that run.  _plan works out
+the executor's shape once (padding, depth, count law, A-side groups and
+workspace).  There is one executor, multiply_recursive; multiply_via is its
+one-level case (cutoff 1 at the decomposition's own size).
 
 multiply_recursive refuses (RefusedInput) matrices not square and of one
 size.  It copies B once, row-major, into a fresh p x p array Y by np.pad
@@ -25,38 +24,24 @@ j0, i1, j1, ..., row, col).  Below the top node every stack is contiguous;
 the top node reads A and B and writes C through one panel view (_a_panels),
 a column panel at a time through a small buffer, whatever the strides.  One
 GEMM of the B-side factors with B's stack forms all rank B sides, after
-which B's blocks are free.  The one block rule: a node forms its A sides in
-every block of its B operand that holds no child stack, g at a time by one
-GEMM of g A-side factor rows, so it reads its A operand ceil(rank/g) times,
-not rank times.  Those are all n^2 blocks at the leaf parent (the node
-whose children are leaves) and when the children's stacks spill (below);
-otherwise n^2 - ceil((rank+1)/n^2) blocks (g = 2, 6, 12 for the n = 2, 3, 4
-schemes of rank n^3 - n + 1), the rest holding the children's stacks.  The
-leaf parent's stack has one slack block ahead of its rank B sides, so leaf
-t writes its product (np.matmul) straight into block t, the B side of term
-t - 1, used by then.  One GEMM of the C-side factors with the finished
-stack writes each C block once.  These GEMMs have an inner dimension of n*n
-or rank and rows of up to p^2/n^2 entries, so they are bound by memory
-bandwidth; above PANEL columns each runs in column panels of PANEL, on
-which BLAS runs them up to about twice as fast.  Each child's stack lives
-in its parent's free blocks, so the one workspace S is the top node's stack
-whenever rank + 1 <= n^2(n^2-1), as for every scheme of rank <= n^3; above
-that the stacks spill: those of all levels follow one another in S.  So
-the temporaries of one product peak at p^2 + rank*(p/n)^2 +
-min(n^2*PANEL, (p/n)^2) entries: Y (B's copy, the top node's free blocks,
-then C), S, and the buffer of one panel; at depth 1, where the top node is
-the leaf parent, S has rank + 1 blocks of (p/n)^2.  That is 2.75 p^2 and a
-little more for the n = 2 orbit at depth >= 2, and a padded A adds its p^2
-copy.  A padded result is cropped to a copy once S is freed.  The factor
-rows come straight from the decomposition's stacks U, V and W (transposed
-for c^T).
+which B's blocks are free to take the A sides, a group at a time, and the
+children's stacks.  The leaf parent's stack has one slack block ahead of
+its rank B sides, so leaf t writes its product (np.matmul) straight into
+block t, the B side of term t - 1, used by then.  One GEMM of the C-side
+factors with the finished stack writes each C block once.  These GEMMs
+have an inner dimension of n*n or rank and rows of up to p^2/n^2 entries,
+so they are bound by memory bandwidth; above PANEL columns each runs in
+column panels of PANEL, on which BLAS runs them up to about twice as fast.
+A padded result is cropped to a copy once the workspace is freed.  The
+factor rows come straight from the decomposition's stacks U, V and W
+(transposed for c^T).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,12 +94,33 @@ class MulReport:
     recursion_depth: int
 
 
-def _plan(n: int, size: int, cutoff: int) -> tuple[int, int, int]:
-    """The count law: (padded size, recursion depth, leaf block size).
+_Plan = namedtuple("_Plan", "n padded depth leaf count spill groups workspace")
 
-    Inputs pad with zeros to the next power of n; the recursion splits
-    while the block is larger than the cutoff, so the executor makes
-    rank^depth leaf products of leaf^3 scalar multiplications each.
+
+def _plan(n: int, rank: int, size: int, cutoff: int) -> _Plan:
+    """The executor's shape for a rank-`rank` n x n scheme on size x size
+    inputs.  They pad with zeros to the next power of n, p = `padded`; the
+    recursion splits while the block is larger than the cutoff, `depth`
+    times, to `leaf` x `leaf` blocks: rank^depth leaf products of leaf^3
+    scalar multiplications each (`count`).
+
+    The one block rule: a node forms its A sides in every block of its B
+    operand that holds no child stack, g at a time by one GEMM of g A-side
+    factor rows, so it reads its A operand ceil(rank/g) times, not rank
+    times.  `groups` holds each level's g: all n^2 blocks at the leaf parent
+    (the node whose children are leaves) and when the stacks spill (below);
+    otherwise n^2 - ceil((rank+1)/n^2) (g = 2, 6, 12 for the n = 2, 3, 4
+    schemes of rank n^3 - n + 1), the rest holding the children's stacks.
+    A level's stack is rank blocks of (p/n^(level+1))^2, rank + 1 at the
+    leaf parent.  A child's stack fits in its parent's n^2 - 1 free blocks
+    when rank + 1 <= n^2(n^2-1), as for every scheme of rank <= n^3, so the
+    `workspace` S is the top node's stack; above that the stacks `spill`:
+    those of all levels follow one another in S.  So one product's
+    temporaries peak at p^2 + rank*(p/n)^2 + min(n^2*PANEL, (p/n)^2)
+    entries: Y (B's copy, the top node's free blocks, then C), S, and the
+    buffer of one panel; at depth 1, where the top node is the leaf parent,
+    S has rank + 1 blocks of (p/n)^2.  That is 2.75 p^2 and a little more
+    for the n = 2 orbit at depth >= 2, and a padded A adds its p^2 copy.
     """
     if cutoff < 1:
         raise RefusedInput("cutoff must be >= 1")
@@ -127,10 +133,14 @@ def _plan(n: int, size: int, cutoff: int) -> tuple[int, int, int]:
     while leaf > cutoff:
         leaf //= n
         depth += 1
-    return padded, depth, leaf
+    nn = n * n
+    spill = rank + 1 > nn * (nn - 1)
+    groups = tuple(nn if spill or level == depth - 1 else nn + (-(rank + 1) // nn) for level in range(depth))
+    stacks = [(rank + (level == depth - 1)) * (padded // n ** (level + 1)) ** 2 for level in range(depth)]
+    return _Plan(n, padded, depth, leaf, rank**depth * leaf**3, spill, groups, sum(stacks if spill else stacks[:1]))
 
 
-def _a_panels(M: np.ndarray, n: int, depth: int, leaf: int) -> list[np.ndarray]:
+def _a_panels(M: np.ndarray, plan: _Plan) -> list[np.ndarray]:
     """The top node's stack of a padded p x p matrix M (A, or Y for B and
     C), (n*n, (p/n)^2) in block layout, as column panels that are views of
     M: each a slice of one digit axis, whole in every later axis, of at
@@ -138,11 +148,11 @@ def _a_panels(M: np.ndarray, n: int, depth: int, leaf: int) -> list[np.ndarray]:
     panel never holds more than (p/n)^2 entries.  When a leaf has fewer
     entries than that limit a panel spans whole groups of leaves, so each
     copy and GEMM still moves a large panel."""
-    digits = (n,) * depth + (leaf,)  # M reshaped to (i0, ..., row, j0, ..., col)
-    order = [a for k in range(depth + 1) for a in (k, depth + 1 + k)]
+    digits = (plan.n,) * plan.depth + (plan.leaf,)  # M reshaped to (i0, ..., row, j0, ..., col)
+    order = [a for k in range(plan.depth + 1) for a in (k, plan.depth + 1 + k)]
     view = M.reshape(digits + digits).transpose(order)  # (i0, j0, ..., row, col)
     radices = view.shape[2:]
-    limit = max(min(PANEL, M.size // n**4), 1)
+    limit = max(min(PANEL, M.size // plan.n**4), 1)
     axis, width = len(radices) - 1, 1
     while axis and width * radices[axis] <= limit:
         width *= radices[axis]
@@ -204,7 +214,7 @@ def _scatter(M, src, panels) -> None:
         c += w
 
 
-def _node(X, Y, S, level, depth, leaf, code, spill) -> int:
+def _node(X, Y, S, level, plan, code) -> int:
     """Y := X Y, X only read, Y flat in block layout and the flat S scratch;
     returns the number of leaf products made.  X is flat in block layout
     too, except at the top node (level 0), where X and Y are the padded A
@@ -213,27 +223,26 @@ def _node(X, Y, S, level, depth, leaf, code, spill) -> int:
     rank, nn = V.shape
     Ys = Y.reshape(nn, -1)
     hh = Ys.shape[1]
-    slack = int(level == depth - 1)  # 1 at the leaf parent
+    slack = int(level == plan.depth - 1)  # 1 at the leaf parent
     Sx = S[: (rank + slack) * hh].reshape(rank + slack, hh)
     if level:
         read, write, Xs, Yp = _panels, _panels, X.reshape(nn, -1), Ys
     else:
-        n = math.isqrt(nn)
-        read, write, Xs, Yp = _gather, _scatter, _a_panels(X, n, depth, leaf), _a_panels(Y, n, depth, leaf)
+        read, write, Xs, Yp = _gather, _scatter, _a_panels(X, plan), _a_panels(Y, plan)
     read(V, Yp, Sx[slack:])  # every term's B side; Y's blocks are free from here
-    g = nn if slack or spill else nn + (-(rank + 1) // nn)  # blocks no child stack takes
-    child = S[rank * hh :] if spill else Ys[g:].reshape(-1)
-    L = Sx.reshape(-1, leaf, leaf)  # the leaf parent's stack as leaf x leaf blocks
+    g = plan.groups[level]  # blocks no child stack takes
+    child = S[rank * hh :] if plan.spill else Ys[g:].reshape(-1)
+    L = Sx.reshape(-1, plan.leaf, plan.leaf)  # the leaf parent's stack as leaf x leaf blocks
     leaves = 0
     for t0 in range(0, rank, g):
         k = min(g, rank - t0)
         read(U[t0 : t0 + k], Xs, Ys[:k])  # A sides of k terms, one pass over X
         for j in range(k):
             if slack:  # the product lands one block before its B side
-                np.matmul(Ys[j].reshape(leaf, leaf), L[t0 + j + 1], out=L[t0 + j])
+                np.matmul(Ys[j].reshape(plan.leaf, plan.leaf), L[t0 + j + 1], out=L[t0 + j])
                 leaves += 1
             else:
-                leaves += _node(Ys[j], Sx[t0 + j], child, level + 1, depth, leaf, code, spill)
+                leaves += _node(Ys[j], Sx[t0 + j], child, level + 1, plan, code)
     write(Wt, Sx[:rank], Yp)  # each C block written once
     return leaves
 
@@ -246,39 +255,30 @@ def multiply_recursive(
         raise RefusedInput("A and B must be square and of equal size")
     if np.iscomplexobj(A) or np.iscomplexobj(B):
         raise RefusedInput("multiply_recursive takes real matrices; a complex input would lose its imaginary part")
-    n, size, rank = dec.n, A.shape[0], dec.rank
-    padded, depth, leaf = _plan(n, size, cutoff)
+    plan = _plan(dec.n, dec.rank, A.shape[0], cutoff)
+    size, padded, depth = A.shape[0], plan.padded, plan.depth
     t0 = time.perf_counter()
     # A is only read, unless it must be padded or converted.  Y is B's copy, the top node's free blocks
     # and the result, C-ordered: np.pad keeps an F-ordered B's order, and Y.reshape(-1) would then copy.
     A = np.asarray(A, dtype=np.float64) if padded == size else np.pad(np.asarray(A, dtype=np.float64), (0, padded - size))
     Y = np.asarray(B, dtype=np.float64) if padded == size and not depth else np.pad(np.ascontiguousarray(B, dtype=np.float64), (0, padded - size))
     if depth:
-        # a child's stack fits in its parent's n*n - 1 free blocks unless
-        # rank + 1 > n^2(n^2-1); then every level's stack follows the one
-        # above it in the workspace.  The leaf parent's stack has rank + 1 blocks.
-        spill = rank + 1 > n * n * (n * n - 1)
-        stacks = [(rank + (level == depth - 1)) * (padded // n ** (level + 1)) ** 2 for level in range(depth)]
-        S = np.empty(sum(stacks) if spill else stacks[0])
-        leaves = _node(A, Y.reshape(-1), S, 0, depth, leaf, _compile(dec), spill)
-        del S  # free the workspace before cropping
+        leaves = _node(A, Y.reshape(-1), np.empty(plan.workspace), 0, plan, _compile(dec))  # the workspace is freed before cropping
     else:
         Y, leaves = A @ Y, 1
     del A  # free any converted copy of A before cropping
     result = Y if padded == size else Y[:size, :size].copy()
-    wall = time.perf_counter() - t0
     return MulReport(
         result=result,
-        scalar_multiplications=leaves * leaf**3,
-        wall_time=wall,
+        scalar_multiplications=leaves * plan.leaf**3,
+        wall_time=time.perf_counter() - t0,
         recursion_depth=depth,
     )
 
 
 def predicted_mult_count(n: int, rank: int, size: int, cutoff: int = 1) -> int:
     """Exact multiplication count of multiply_recursive for the given shape."""
-    _, depth, leaf = _plan(n, size, cutoff)
-    return rank**depth * leaf**3
+    return _plan(n, rank, size, cutoff).count
 
 
 @dataclass(frozen=True)

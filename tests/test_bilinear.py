@@ -6,6 +6,7 @@ import pytest
 
 from orbitmm.bilinear import (
     PANEL,
+    _plan,
     benchmark,
     format_bench_table,
     multiply_recursive,
@@ -165,9 +166,9 @@ def test_recursive_padding_transparent(nprng):
 
 def test_recursive_rejects_bad_input():
     dec = lattice(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(RefusedInput, match="square and of equal size"):
         multiply_recursive(dec, np.zeros((2, 3)), np.zeros((3, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(RefusedInput, match="cutoff must be >= 1"):
         multiply_recursive(dec, np.eye(2), np.eye(2), cutoff=0)
 
 
@@ -313,9 +314,10 @@ def test_a_side_passes(name, pairs, size, cutoff, g, monkeypatch, nprng):
     n, rank, depth, p = dec.n, dec.rank, rep.recursion_depth, 1
     while p < size:
         p *= n
+    groups = [n * n if level == depth - 1 else g for level in range(depth)]
+    assert list(_plan(n, rank, size, cutoff).groups) == groups
     assert passes == {
-        (p // n ** (level + 1)) ** 2: rank**level * math.ceil(rank / (n * n if level == depth - 1 else g))
-        for level in range(depth)
+        (p // n ** (level + 1)) ** 2: rank**level * math.ceil(rank / groups[level]) for level in range(depth)
     }
 
 
@@ -385,6 +387,7 @@ def _peak_within_law(dec, A, B, cutoff):
     copies = 1 if p == size else 2
     block = (p // dec.n) ** 2
     stack = dec.rank + (rep.recursion_depth == 1)
+    assert stack * block == _plan(dec.n, dec.rank, size, cutoff).workspace
     assert peak <= 8 * (copies * p**2 + stack * block + min(dec.n**2 * PANEL, block)) + 64 * 1024
 
 
@@ -439,6 +442,17 @@ def test_recursive_rank_above_free_blocks(nprng):
         assert np.abs(rep.result - ref).max() <= 1e-12 * scale
 
 
+def test_spilling_workspace_holds_every_level():
+    # rank 13 at 40/8 pads to p = 64 and splits 3 times; its stacks spill,
+    # so S holds every level's: sum over levels of
+    # (rank + [leaf parent]) * (p / n^(level + 1))^2
+    n, rank, p, depth = 2, 13, 64, 3
+    plan = _plan(n, rank, 40, 8)
+    assert plan.spill and (plan.padded, plan.depth) == (p, depth)
+    law = sum((rank + (level == depth - 1)) * (p // n ** (level + 1)) ** 2 for level in range(depth))
+    assert plan.workspace == law == 13 * 32**2 + 13 * 16**2 + 14 * 8**2
+
+
 @pytest.mark.parametrize("rank", [8, 12])
 def test_recursive_ranks_that_squeeze_the_group(rank, nprng):
     # n^2 divides rank 8, so the leaf parent's slack block takes a third
@@ -475,6 +489,14 @@ def test_predicted_matches_executed():
         A = np.ones((size, size))
         rep = multiply_recursive(dec, A, A, cutoff=cutoff)
         assert rep.scalar_multiplications == predicted_mult_count(2, 7, size, cutoff)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((2, 7, 8, 0), "cutoff must be >= 1"), ((1, 1, 2, 1), "a 1x1 scheme cannot split"),
+], ids=["cutoff-0", "unsplittable"])
+def test_predicted_refuses_what_the_executor_refuses(args, message):
+    with pytest.raises(RefusedInput, match=message):
+        predicted_mult_count(*args)
 
 
 def test_predicted_large_sizes():

@@ -1,8 +1,16 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbitmm
 from orbitmm.cli import build_parser, main
@@ -596,6 +604,16 @@ def test_rational_entry_beyond_float64_exits_2(tmp_path, capsys, command):
     assert "outside float64's range" in err
 
 
+@pytest.mark.parametrize("command,cutoff", [("multiply", "0"), ("bench", "-1")])
+def test_cutoff_below_1_exits_2(tmp_path, capsys, command, cutoff):
+    dec, fa, fc = gen_lattice(tmp_path, capsys), tmp_path / "a.txt", tmp_path / "C.txt"
+    save_matrix(np.eye(4), fa)
+    extra = (str(fa), str(fa), "-o", str(fc)) if command == "multiply" else ("--sizes", "4")
+    code, out, err = run(capsys, command, str(dec), *extra, "--cutoff", cutoff)
+    assert (code, out, err) == (2, "", "error: cutoff must be >= 1\n")
+    assert not fc.exists()
+
+
 def _unloadable(tmp_path, capsys, case):
     """A decomposition file that the loader cannot turn into factor stacks:
     a float64 file with the JSON integer 10^400, beyond float64's range, as
@@ -785,3 +803,68 @@ def test_bench_table(tmp_path, capsys):
     code, out, _ = run(capsys, "bench", str(dec), "--sizes", "4")
     assert code == 0
     assert "size" in out
+
+
+# Values that a JSON node of a decomposition file may be replaced with:
+# JSON's other types, numbers float64 cannot hold or reads as NaN, and
+# strings that float() or Fraction() read oddly or refuse.
+FUZZ_POOL = [
+    None, True, False, 0, -0.0, 1, -1, 2, 0.5, 1e308, 10**400, -(10**400), float("nan"), float("inf"),
+    "nan", "-inf", "1e400", "1/0", "0/0", "1/3", "", " ", "1,2", "x", "0x1p3", "1_0", [], {}, [[]], ["1"], {"a": []},
+]
+
+
+def _fuzz_nodes(node, path=()):
+    """Paths to a document's nodes: the root, every object member and the
+    first two entries of every list."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node[:2]) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _fuzz_nodes(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_docs(tmp_path_factory):
+    """The n = 2 orbit and lattice files that gen writes, and the lattice
+    with each entry rewritten as the exact "p/q" of its float64 value."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    docs = {}
+    for scheme in ("orbit", "lattice"):
+        assert main(["gen", "--n", "2", "--scheme", scheme, "-o", str(tmp / f"{scheme}.json")]) == 0
+        docs[scheme] = json.loads((tmp / f"{scheme}.json").read_text())
+    rational = copy.deepcopy(docs["lattice"])
+    rational["scalar_kind"] = "rational"
+    for term in rational["terms"]:
+        for side in "abc":
+            term[side] = [f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in term[side]]
+    docs["rational"] = rational
+    save_matrix(np.arange(4.0).reshape(2, 2), tmp / "a.txt")
+    return tmp, docs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(data=st.data())
+def test_one_replaced_json_node_exits_0_1_or_2(fuzz_docs, data):
+    # every command returns an exit code for any such file; an exception
+    # that escapes cli.main is a loader or checker hole
+    tmp, docs = fuzz_docs
+    name = data.draw(st.sampled_from(sorted(docs)))
+    path = data.draw(st.sampled_from(list(_fuzz_nodes(docs[name]))))
+    value = data.draw(st.sampled_from(FUZZ_POOL))
+    holder = [copy.deepcopy(docs[name])]  # the root is entry 0 of a list, so it can be replaced too
+    *parents, last = (0, *path)
+    functools.reduce(operator.getitem, parents, holder)[last] = value
+    f, fa = tmp / "fuzz.json", str(tmp / "a.txt")
+    f.write_text(json.dumps(holder[0]))
+    commands = [
+        ["verify", str(f)], ["verify", str(f), "--mode", "exact-gram"], ["analyze", str(f)],
+        ["multiply", str(f), fa, fa, "--cutoff", "1", "-o", str(tmp / "c.txt")],
+        ["bench", str(f), "--sizes", "4", "--cutoff", "1"],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), np.errstate(all="ignore"):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse's usage error
+                code = e.code
+        assert code in (0, 1, 2), (argv[0], path, value)
