@@ -9,8 +9,8 @@ Recursion replaces the scalar inner products by block-weighted sums and
 switches to the plain product at or below the cutoff size.  Scalar
 multiplication counts are exact: only the multiplications of the base-case
 products are counted, summed over the leaves that run.  _plan works out
-the executor's shape once (padding, depth, count law, A-side groups and
-workspace).  There is one executor, multiply_recursive; multiply_via is its
+the executor's shape once (padding, depth, count law, A-side groups, batch
+and workspace).  There is one executor, multiply_recursive; multiply_via is its
 one-level case (cutoff 1 at the decomposition's own size).
 
 multiply_recursive refuses (RefusedInput) matrices not square and of one
@@ -27,9 +27,14 @@ GEMM of the B-side factors with B's stack forms all rank B sides, after
 which B's blocks are free to take the A sides, a group at a time, and the
 children's stacks.  The leaf parent's stack has one slack block ahead of
 its rank B sides, so leaf t writes its product (np.matmul) straight into
-block t, the B side of term t - 1, used by then.  One GEMM of the C-side
-factors with the finished stack writes each C block once.  These GEMMs
-have an inner dimension of n*n or rank and rows of up to p^2/n^2 entries,
+block t, the B side of term t - 1, used by then.  With small leaves that
+depth-first walk spends its time in Python, a call per node and per leaf,
+so a batched plan runs its bottom two levels breadth-first: the node two
+levels above the leaves forms its children's A sides with one GEMM, and its
+grandchildren's B sides, A sides and leaf products and its children's
+products with one batched np.matmul each, in the batch region T.  One GEMM
+of the C-side factors with the finished stack writes each C block once.
+These GEMMs have an inner dimension of n*n or rank and rows of up to p^2/n^2 entries,
 so they are bound by memory bandwidth; above PANEL columns each runs in
 column panels of PANEL, on which BLAS runs them up to about twice as fast.
 A padded result is cropped to a copy once the workspace is freed.  The
@@ -60,6 +65,7 @@ __all__ = [
 ]
 
 PANEL = 8192  # columns per panel of a block-combination GEMM
+BATCH = 2**18  # most entries of a batched node's buffers (see _plan)
 
 
 def naive_multiply(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -94,7 +100,7 @@ class MulReport:
     recursion_depth: int
 
 
-_Plan = namedtuple("_Plan", "n padded depth leaf count spill groups workspace")
+_Plan = namedtuple("_Plan", "n padded depth leaf count spill groups batch workspace")
 
 
 def _plan(n: int, rank: int, size: int, cutoff: int) -> _Plan:
@@ -111,16 +117,30 @@ def _plan(n: int, rank: int, size: int, cutoff: int) -> _Plan:
     (the node whose children are leaves) and when the stacks spill (below);
     otherwise n^2 - ceil((rank+1)/n^2) (g = 2, 6, 12 for the n = 2, 3, 4
     schemes of rank n^3 - n + 1), the rest holding the children's stacks.
+    The batch rule: at depth >= 3 the bottom two levels run breadth-first
+    when the buffers of the node two levels above the leaves fit BATCH
+    entries: its children's A sides, rank*n^2*leaf^2 entries, and its
+    grandchildren's A sides, B sides and products, 3*rank^2*leaf^2 (`batch`,
+    0 when the plan is not batched).  Such a node forms all rank A sides of
+    its children in one GEMM (its g is rank), and its children, the leaf
+    parents, do not run, so `groups` has an entry for each level that runs.
+    The top node, which reads through its panels, is never batched.  BATCH
+    bounds the memory batching adds to 2 MiB: within it every shape measured
+    ran faster batched, while past it the n = 2 orbit's 64 x 64 leaves ran
+    slower.
+
     A level's stack is rank blocks of (p/n^(level+1))^2, rank + 1 at the
     leaf parent.  A child's stack fits in its parent's n^2 - 1 free blocks
     when rank + 1 <= n^2(n^2-1), as for every scheme of rank <= n^3, so the
     `workspace` S is the top node's stack; above that the stacks `spill`:
-    those of all levels follow one another in S.  So one product's
-    temporaries peak at p^2 + rank*(p/n)^2 + min(n^2*PANEL, (p/n)^2)
-    entries: Y (B's copy, the top node's free blocks, then C), S, and the
-    buffer of one panel; at depth 1, where the top node is the leaf parent,
-    S has rank + 1 blocks of (p/n)^2.  That is 2.75 p^2 and a little more
-    for the n = 2 orbit at depth >= 2, and a padded A adds its p^2 copy.
+    those of all running levels follow one another in S.  A batched plan's
+    batch region T ends S.  So one product's temporaries peak at p^2 +
+    rank*(p/n)^2 + batch + min(n^2*PANEL, (p/n)^2) entries: Y (B's copy,
+    the top node's free blocks, then C), S, and the buffer of one panel; at
+    depth 1, where the top node is the leaf parent, S has rank + 1 blocks of
+    (p/n)^2.  That is 2.75 p^2 and a little more for the n = 2 orbit at
+    depth >= 2, at most BATCH entries more when batched, and a padded A
+    adds its p^2 copy.
     """
     if cutoff < 1:
         raise RefusedInput("cutoff must be >= 1")
@@ -135,9 +155,16 @@ def _plan(n: int, rank: int, size: int, cutoff: int) -> _Plan:
         depth += 1
     nn = n * n
     spill = rank + 1 > nn * (nn - 1)
-    groups = tuple(nn if spill or level == depth - 1 else nn + (-(rank + 1) // nn) for level in range(depth))
-    stacks = [(rank + (level == depth - 1)) * (padded // n ** (level + 1)) ** 2 for level in range(depth)]
-    return _Plan(n, padded, depth, leaf, rank**depth * leaf**3, spill, groups, sum(stacks if spill else stacks[:1]))
+    batch = rank * leaf**2 * (nn + 3 * rank)
+    batch = batch if depth >= 3 and batch <= BATCH else 0
+    levels = depth - 1 if batch else depth  # the levels whose nodes run
+    groups = tuple(
+        rank if batch and level == depth - 2 else nn if spill or level == depth - 1 else nn + (-(rank + 1) // nn)
+        for level in range(levels)
+    )
+    stacks = [(rank + (level == depth - 1)) * (padded // n ** (level + 1)) ** 2 for level in range(levels)]
+    workspace = sum(stacks if spill else stacks[:1]) + batch
+    return _Plan(n, padded, depth, leaf, rank**depth * leaf**3, spill, groups, batch, workspace)
 
 
 def _a_panels(M: np.ndarray, plan: _Plan) -> list[np.ndarray]:
@@ -218,8 +245,9 @@ def _node(X, Y, S, level, plan, code) -> int:
     """Y := X Y, X only read, Y flat in block layout and the flat S scratch;
     returns the number of leaf products made.  X is flat in block layout
     too, except at the top node (level 0), where X and Y are the padded A
-    and B, row-major and seen through column panels (see _a_panels)."""
-    U, V, Wt = code
+    and B, row-major and seen through column panels (see _a_panels).  code
+    holds the factor rows and the batch region T."""
+    U, V, Wt, T = code
     rank, nn = V.shape
     Ys = Y.reshape(nn, -1)
     hh = Ys.shape[1]
@@ -230,6 +258,17 @@ def _node(X, Y, S, level, plan, code) -> int:
     else:
         read, write, Xs, Yp = _gather, _scatter, _a_panels(X, plan), _a_panels(Y, plan)
     read(V, Yp, Sx[slack:])  # every term's B side; Y's blocks are free from here
+    if plan.batch and level == plan.depth - 2:  # the bottom two levels, breadth-first in T
+        A1 = T[: rank * hh].reshape(rank, nn, -1)  # the children's A sides
+        B2, A2, P2 = T[rank * hh :].reshape(3, rank, rank, -1)  # the grandchildren's sides and products
+        read(U, Xs, A1.reshape(rank, hh))
+        np.matmul(V, Sx.reshape(rank, nn, -1), out=B2)
+        np.matmul(U, A1, out=A2)
+        tiles = (-1, plan.leaf, plan.leaf)
+        np.matmul(A2.reshape(tiles), B2.reshape(tiles), out=P2.reshape(tiles))
+        np.matmul(Wt, P2, out=Sx.reshape(rank, nn, -1))  # each child's product, in its block of the stack
+        write(Wt, Sx, Yp)
+        return rank * rank
     g = plan.groups[level]  # blocks no child stack takes
     child = S[rank * hh :] if plan.spill else Ys[g:].reshape(-1)
     L = Sx.reshape(-1, plan.leaf, plan.leaf)  # the leaf parent's stack as leaf x leaf blocks
@@ -263,7 +302,9 @@ def multiply_recursive(
     A = np.asarray(A, dtype=np.float64) if padded == size else np.pad(np.asarray(A, dtype=np.float64), (0, padded - size))
     Y = np.asarray(B, dtype=np.float64) if padded == size and not depth else np.pad(np.ascontiguousarray(B, dtype=np.float64), (0, padded - size))
     if depth:
-        leaves = _node(A, Y.reshape(-1), np.empty(plan.workspace), 0, plan, _compile(dec))  # the workspace is freed before cropping
+        S = np.empty(plan.workspace)  # the stacks, then the batch region T
+        leaves = _node(A, Y.reshape(-1), S, 0, plan, (*_compile(dec), S[S.size - plan.batch :]))
+        del S  # freed before cropping
     else:
         Y, leaves = A @ Y, 1
     del A  # free any converted copy of A before cropping

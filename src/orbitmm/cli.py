@@ -175,14 +175,18 @@ def _analyze(args) -> int:
     return 0
 
 
-def _multiply(args) -> int:
-    dec = load_decomposition(args.file)
+def _passes_precheck(dec) -> bool:
+    """The pre-check of a decomposition that multiply or bench is to run:
+    verify_float's verdict, with a warning on stderr when it is invalid."""
     rep = verify_float(dec)
     if not rep.valid:
-        print(
-            f"warning: decomposition residual {rep.max_residual:.3e} exceeds tolerance",
-            file=sys.stderr,
-        )
+        print(f"warning: decomposition residual {rep.max_residual:.3e} exceeds tolerance", file=sys.stderr)
+    return rep.valid
+
+
+def _multiply(args) -> int:
+    dec = load_decomposition(args.file)
+    if not _passes_precheck(dec):
         return 1
     A, B = load_matrix(args.a_file), load_matrix(args.b_file)
     save_matrix(multiply_recursive(dec, A, B, cutoff=args.cutoff).result, args.output)
@@ -191,13 +195,17 @@ def _multiply(args) -> int:
 
 
 def _bench(args) -> int:
-    dec = load_decomposition(args.file)
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise RefusedInput(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     if min(sizes) < 2:  # the exponent estimate is log(count)/log(size)
         raise RefusedInput("--sizes entries must be >= 2")
+    dec = load_decomposition(args.file)
+    if dec.rank == 0:  # refused, as benchmark refuses it, before the pre-check calls it invalid
+        raise RefusedInput("bench needs a decomposition of rank >= 1, got rank 0")
+    if not _passes_precheck(dec):
+        return 1
     rows = benchmark(dec, sizes, cutoff=args.cutoff)
     if args.json:
         _print_json([dataclasses.asdict(r) for r in rows])

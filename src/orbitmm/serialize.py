@@ -25,11 +25,15 @@ integer 1 (not true or 1.0) or a JSON boolean entry in a float64 file.
 Matrix files are plain text: first line "rows cols", then row-major
 whitespace-separated decimals.  Both directions stream, a row or a line at
 a time, and allocate nothing from the header before counting the values.
+Each line after the header is parsed by numpy's text parser; a line it
+refuses is parsed again token by token, so any token float() reads loads
+and a malformed one is refused with float()'s message.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -181,18 +185,30 @@ def save_matrix(m: np.ndarray, path) -> None:
         raise SchemaError(f"cannot write matrix file: {e}") from e
 
 
+def _parse_line(line: str) -> np.ndarray:
+    """One line's values.  numpy refuses a line it cannot read to its end
+    (an older numpy only warns, which load_matrix turns into an error); the
+    line is then read token by token, as float() reads them."""
+    try:
+        return np.fromstring(line, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return np.array(line.split(), dtype=np.float64)
+
+
 def load_matrix(path) -> np.ndarray:
     """Read the matrix one line at a time: the header's two tokens may span
-    lines, and each line's values become one float64 array."""
+    lines, and each later line's values become one float64 array.  A
+    whitespace-only line is skipped: numpy would read it as [-1.]."""
     try:
-        with open(path) as f:
+        with open(path) as f, warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
             lines = (line.split() for line in f)
             for head in accumulate(lines, initial=[]):
                 if len(head) >= 2:
                     break
             rows, cols = int(head[0]), int(head[1])
             chunks = [np.array(head[2:], dtype=np.float64)]
-            chunks += [np.array(tokens, dtype=np.float64) for tokens in lines]
+            chunks += [_parse_line(line) for line in f if not line.isspace()]
     except OSError as e:
         raise SchemaError(f"cannot read matrix file: {e}") from e
     except (IndexError, ValueError) as e:

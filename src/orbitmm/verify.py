@@ -47,6 +47,7 @@ class VerifyReport:
         yield f"valid (tol={self.tol:g}): {self.valid}"
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the residual, as inf or nan
 def verify_float(dec: Decomposition, tol: float = DEFAULT_TOL) -> VerifyReport:
     """Entrywise check of tensor_of(dec) against MM_n: the largest
     |tensor_of(dec) - MM_n| entry, computed in the fresh tensor's own memory.
@@ -144,6 +145,7 @@ class InvariantsReport:
         yield f"factor rank counts: {dict(sorted(Counter(self.factor_ranks).items()))}"
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the invariants, as inf or nan
 def invariants_report(dec: Decomposition) -> InvariantsReport:
     d = dec.to_float()
     T = tensor_of(d)

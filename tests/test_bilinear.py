@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from orbitmm.bilinear import (
+    BATCH,
     PANEL,
     _plan,
     benchmark,
@@ -190,16 +191,24 @@ def test_recursive_refuses_complex_input(side, monkeypatch):
         multiply_recursive(orbit_decomposition(orbit_spec_for(2)), A, B, cutoff=1)
 
 
-# (size, cutoff, recursion depth): depths 0 to 3, padded sizes, and sizes at
+# (size, cutoff, recursion depth): depths 0 to 4, padded sizes, and sizes at
 # or below the cutoff; n=4 stops at depth 2, where rank 61 makes 3721 leaves.
 # orbit2 at 384 (padded to 512) and lattice3 at 729 have top blocks of 65536
 # and 59049 entries, so their combination GEMMs run in several column panels
 # of PANEL = 8192, lattice3's last one ragged; lattice4 at 256 runs 61 terms in A-side groups
-# of 12, the last group of one.
+# of 12, the last group of one.  At depth >= 3 the bottom two levels run
+# batched (see test_batch_budget) at orbit2's 17/4, 8/1, 256/16 and 200/16,
+# lattice3's 17/1 and 243/9 and rank13's two shapes; orbit2 at 384/64 and
+# rank9 at 256/32 are past the budget and run depth-first.
 EXECUTOR_CASES = {
-    "orbit2": [(1, 1, 0), (4, 4, 0), (5, 8, 0), (5, 4, 1), (10, 4, 2), (17, 4, 3), (8, 1, 3), (384, 64, 3)],
-    "lattice3": [(3, 3, 0), (5, 9, 0), (5, 3, 1), (10, 3, 2), (17, 1, 3), (729, 81, 2)],
+    "orbit2": [
+        (1, 1, 0), (4, 4, 0), (5, 8, 0), (5, 4, 1), (10, 4, 2), (17, 4, 3), (8, 1, 3), (384, 64, 3), (256, 16, 4),
+        (200, 16, 4),
+    ],
+    "lattice3": [(3, 3, 0), (5, 9, 0), (5, 3, 1), (10, 3, 2), (17, 1, 3), (729, 81, 2), (243, 9, 3)],
     "lattice4": [(4, 4, 0), (3, 16, 0), (5, 4, 1), (10, 1, 2), (256, 16, 2)],
+    "rank9": [(256, 32, 3)],
+    "rank13": [(32, 4, 3), (27, 4, 3)],
 }
 
 
@@ -211,11 +220,24 @@ def naive2():
     return Decomposition(E[2 * i + j], E[2 * j + k], E[2 * k + i])
 
 
+def _with_cancelling_pairs(dec, pairs, nprng):
+    """dec plus the terms (a, b, c) and (a, b, -c) for `pairs` random
+    triples: the same product at rank dec.rank + 2 * pairs."""
+    a, b, c = nprng.standard_normal((3, pairs, dec.n, dec.n))
+    return Decomposition(
+        np.concatenate([dec.U, a, a]), np.concatenate([dec.V, b, b]), np.concatenate([dec.W, c, -c])
+    )
+
+
+# rank9 and rank13 are the n=2 orbit with one and three cancelling pairs;
+# rank 13 > n^2(n^2 - 1) = 12, so its stacks spill into the workspace
 EXECUTOR_DECS = {
     "naive2": naive2,
     "orbit2": lambda: orbit_decomposition(orbit_spec_for(2)),
     "lattice3": lambda: lattice(3),
     "lattice4": lambda: lattice(4),
+    "rank9": lambda: _with_cancelling_pairs(EXECUTOR_DECS["orbit2"](), 1, np.random.default_rng(9)),
+    "rank13": lambda: _with_cancelling_pairs(EXECUTOR_DECS["orbit2"](), 3, np.random.default_rng(13)),
 }
 
 
@@ -245,8 +267,13 @@ def test_recursive_matches_reference(name, kind, nprng):
 
 # (size, cutoff, depth): depths 0 to 6, padded and unpadded sizes; the
 # rank-12 scheme stops at depth 5, as its 12^6 leaves at depth 6 take
-# seconds a product
-EXACT_CASES = [(200, 256, 0), (5, 4, 1), (8, 2, 2), (6, 2, 2), (8, 1, 3), (37, 4, 4), (100, 8, 4), (32, 1, 5)]
+# seconds a product.  Every depth >= 3 runs its bottom two levels batched,
+# except 256/32 for rank 12 (480 * 32^2 entries, past BATCH; naive2 there
+# needs 224 * 32^2, within it)
+EXACT_CASES = [
+    (200, 256, 0), (5, 4, 1), (8, 2, 2), (6, 2, 2), (8, 1, 3), (37, 4, 4), (100, 8, 4), (32, 1, 5), (256, 16, 4),
+    (200, 16, 4), (256, 32, 3),
+]
 
 
 @pytest.mark.parametrize("name", ["naive2", "spill12"])
@@ -269,30 +296,24 @@ def test_recursive_exact_on_integer_floats(name, nprng):
             assert np.array_equal(rep.result, X @ Y)
 
 
-def _with_cancelling_pairs(dec, pairs, nprng):
-    """dec plus the terms (a, b, c) and (a, b, -c) for `pairs` random
-    triples: the same product at rank dec.rank + 2 * pairs."""
-    a, b, c = nprng.standard_normal((3, pairs, dec.n, dec.n))
-    return Decomposition(
-        np.concatenate([dec.U, a, a]), np.concatenate([dec.V, b, b]), np.concatenate([dec.W, c, -c])
-    )
-
-
-# (scheme, cancelling pairs added, size, cutoff, g): a node above the leaf
-# parent forms its A sides g at a time, in the n^2 blocks of Y less the
-# ceil((rank + 1)/n^2) that hold its children's stacks (a leaf parent's
-# stack has one slack block): g = 2, 6, 12 for the n = 2, 3, 4 schemes of
-# rank n^3 - n + 1 and 1 for rank 8, which n^2 divides.  The leaf parent,
-# and every node of ranks 12 and 13, whose stacks spill into the
-# workspace, fill all n^2 blocks.
+# (scheme, cancelling pairs added, size, cutoff, g): a depth-first node
+# above the leaf parent forms its A sides g at a time, in the n^2 blocks of
+# Y less the ceil((rank + 1)/n^2) that hold its children's stacks (a leaf
+# parent's stack has one slack block): g = 2, 6, 12 for the n = 2, 3, 4
+# schemes of rank n^3 - n + 1 and 1 for rank 8, which n^2 divides.  The leaf
+# parent, and every node of ranks 12 and 13, whose stacks spill into the
+# workspace, fill all n^2 blocks.  A batched node (two levels above the
+# leaves, in a plan of depth >= 3 within BATCH; all but the first three
+# cases here) forms its children's rank A sides in one pass, and its
+# grandchildren's come from one batched matmul, so its children make none.
 @pytest.mark.parametrize("name,pairs,size,cutoff,g", [
-    ("orbit2", 0, 8, 1, 2), ("lattice3", 0, 27, 1, 6), ("lattice4", 0, 64, 4, 12),
+    ("orbit2", 0, 512, 64, 2), ("naive2", 0, 512, 64, 1), ("lattice4", 0, 64, 4, 12),
+    ("orbit2", 0, 8, 1, 2), ("orbit2", 0, 16, 1, 2), ("lattice3", 0, 27, 1, 6),
     ("naive2", 0, 8, 1, 1), ("naive2", 2, 40, 8, 4), ("orbit2", 3, 40, 8, 4),
 ])
 def test_a_side_passes(name, pairs, size, cutoff, g, monkeypatch, nprng):
     # each A-side GEMM (factor rows a slice of U) is one pass over the
-    # node's X; a node makes ceil(rank/g) of them, its leaf parents
-    # ceil(rank/n^2)
+    # node's X; the nodes of a level of group g make ceil(rank/g) each
     import orbitmm.bilinear as bilinear
 
     dec = _with_cancelling_pairs(EXECUTOR_DECS[name]().to_float(), pairs, nprng)
@@ -314,10 +335,14 @@ def test_a_side_passes(name, pairs, size, cutoff, g, monkeypatch, nprng):
     n, rank, depth, p = dec.n, dec.rank, rep.recursion_depth, 1
     while p < size:
         p *= n
+    batched = depth >= 3 and rank * (p // n**depth) ** 2 * (n * n + 3 * rank) <= BATCH
     groups = [n * n if level == depth - 1 else g for level in range(depth)]
+    if batched:  # the leaf parents do not run; their parents take all rank A sides at once
+        groups[-2:] = [rank]
     assert list(_plan(n, rank, size, cutoff).groups) == groups
+    assert batched == ((name, size) not in {("orbit2", 512), ("naive2", 512), ("lattice4", 64)})
     assert passes == {
-        (p // n ** (level + 1)) ** 2: rank**level * math.ceil(rank / groups[level]) for level in range(depth)
+        (p // n ** (level + 1)) ** 2: rank**level * math.ceil(rank / groups[level]) for level in range(len(groups))
     }
 
 
@@ -366,13 +391,16 @@ def test_recursive_transposed_b(size, cutoff, nprng):
 
 def _peak_within_law(dec, A, B, cutoff):
     """Run one product under tracemalloc and check its peak against the
-    law: the p x p copy of B that becomes the result, the top node's stack
-    of rank (p/n)^2 entries (rank + 1 blocks at depth 1, where the top node
-    is the leaf parent) and the buffer that stages one column panel of
-    the top node's A, B or C, n^2 rows of at most PANEL and (p/n)^2/n^2
-    entries; every child's stack lives in its parent's free blocks.  A
-    size that is not a power of n adds one p^2: A is copied once, padded,
-    since the top node's panels are views of a p x p matrix."""
+    law: the p x p copy of B that becomes the result, the workspace and the
+    buffer that stages one column panel of the top node's A, B or C, n^2
+    rows of at most PANEL and (p/n)^2/n^2 entries.  The workspace is the top
+    node's stack of rank (p/n)^2 entries (rank + 1 blocks at depth 1, where
+    the top node is the leaf parent), every child's stack living in its
+    parent's free blocks, or when the stacks spill, every level's stack;
+    and in a batched plan, the batch region of rank * leaf^2 * (n^2 +
+    3 rank) entries.  A size that is not a power of n adds one p^2: A is
+    copied once, padded, since the top node's panels are views of a p x p
+    matrix.  The product must also match A @ B and the count law."""
     multiply_recursive(dec, A, B, cutoff=cutoff)  # warm up numpy's caches
     tracemalloc.start()
     try:
@@ -380,20 +408,30 @@ def _peak_within_law(dec, A, B, cutoff):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.recursion_depth >= 1
+    n, rank, depth = dec.n, dec.rank, rep.recursion_depth
     size, p = A.shape[0], 1
     while p < size:
-        p *= dec.n
+        p *= n
+    assert depth >= 1 and rep.scalar_multiplications == predicted_mult_count(n, rank, size, cutoff)
+    assert np.abs(rep.result - A @ B).max() <= 1e-12 * float(np.abs(A @ B).max())
     copies = 1 if p == size else 2
-    block = (p // dec.n) ** 2
-    stack = dec.rank + (rep.recursion_depth == 1)
-    assert stack * block == _plan(dec.n, dec.rank, size, cutoff).workspace
-    assert peak <= 8 * (copies * p**2 + stack * block + min(dec.n**2 * PANEL, block)) + 64 * 1024
+    leaf = p // n**depth
+    batch = rank * leaf**2 * (n * n + 3 * rank)
+    batch = batch if depth >= 3 and batch <= BATCH else 0
+    levels = depth - 1 if batch else depth  # the levels whose nodes run
+    stacks = [(rank + (level == depth - 1)) * (p // n ** (level + 1)) ** 2 for level in range(levels)]
+    workspace = (sum(stacks) if rank + 1 > n**2 * (n**2 - 1) else stacks[0]) + batch
+    assert workspace == _plan(n, rank, size, cutoff).workspace
+    assert peak <= 8 * (copies * p**2 + workspace + min(n**2 * PANEL, (p // n) ** 2)) + 64 * 1024
 
 
+# past the budget: orbit2 at 512/64 and rank9 at 256/32; batched: orbit2 at
+# 256/16 and 200/16, lattice3 at 243/9, lattice4 at 256/4 and rank13 (spilling)
+# at 256/16
 @pytest.mark.parametrize("name,size,cutoff", [
     ("orbit2", 512, 64), ("lattice3", 243, 27), ("lattice3", 729, 27), ("orbit2", 500, 64), ("lattice3", 244, 27),
-    ("naive2", 512, 64), ("orbit2", 512, 256), ("lattice3", 243, 81),
+    ("naive2", 512, 64), ("orbit2", 512, 256), ("lattice3", 243, 81), ("orbit2", 256, 16), ("orbit2", 200, 16),
+    ("lattice3", 243, 9), ("lattice4", 256, 4), ("rank13", 256, 16), ("rank9", 256, 32),
 ])
 def test_recursive_peak_memory(name, size, cutoff, nprng):
     # a copy of A would exceed the law at every unpadded size here
@@ -443,14 +481,39 @@ def test_recursive_rank_above_free_blocks(nprng):
 
 
 def test_spilling_workspace_holds_every_level():
-    # rank 13 at 40/8 pads to p = 64 and splits 3 times; its stacks spill,
-    # so S holds every level's: sum over levels of
-    # (rank + [leaf parent]) * (p / n^(level + 1))^2
-    n, rank, p, depth = 2, 13, 64, 3
+    # rank 13 pads 40 to p = 64 and 512 to itself; its stacks spill, so S
+    # holds every running level's stack, rank * (p / n^(level + 1))^2
+    # entries (rank + 1 blocks at the leaf parent).  At 40/8 (leaf 8) the
+    # bottom two levels run batched: level 1 is the last that runs, and the
+    # batch region of rank * leaf^2 * (n^2 + 3 rank) entries follows.  At
+    # 512/64 (leaf 64) the batch region would be 13 * 43 * 64^2 > BATCH
+    n, rank = 2, 13
     plan = _plan(n, rank, 40, 8)
-    assert plan.spill and (plan.padded, plan.depth) == (p, depth)
-    law = sum((rank + (level == depth - 1)) * (p // n ** (level + 1)) ** 2 for level in range(depth))
-    assert plan.workspace == law == 13 * 32**2 + 13 * 16**2 + 14 * 8**2
+    assert plan.spill and (plan.padded, plan.depth, plan.leaf) == (64, 3, 8)
+    assert plan.batch == 13 * 8**2 * (4 + 39) == 35776
+    assert plan.workspace == 13 * 32**2 + 13 * 16**2 + plan.batch
+    plan = _plan(n, rank, 512, 64)
+    assert plan.spill and (plan.padded, plan.depth, plan.batch) == (512, 3, 0)
+    assert plan.workspace == 13 * 256**2 + 13 * 128**2 + 14 * 64**2
+
+
+def test_batch_budget():
+    # a plan of depth >= 3 runs its bottom two levels batched when the
+    # batched node's buffers fit BATCH: its children's A sides, rank * n^2
+    # leaf^2 entries, and its grandchildren's A sides, B sides and
+    # products, 3 rank^2 leaf^2
+    def batch(n, rank, leaf):
+        return rank * n * n * leaf**2 + 3 * rank**2 * leaf**2
+
+    assert _plan(2, 7, 256, 16).batch == batch(2, 7, 16) == 44800
+    assert _plan(2, 7, 200, 16).batch == 44800
+    assert _plan(3, 25, 243, 9).batch == batch(3, 25, 9) == 170100
+    assert _plan(4, 61, 256, 4).batch == batch(4, 61, 4) == 194224
+    assert _plan(2, 8, 256, 32).batch == batch(2, 8, 32) == 229376 <= BATCH  # naive2, just within
+    assert _plan(2, 9, 256, 32).batch == 0 < BATCH < batch(2, 9, 32)  # rank9, just past
+    assert _plan(2, 7, 64, 16).batch == 0  # depth 2: the top node is never batched
+    # mul-strassen's product runs depth-first: 11.5 M entries are far past BATCH
+    assert _plan(2, 7, 2048, 256).batch == 0 < BATCH < batch(2, 7, 256)
 
 
 @pytest.mark.parametrize("rank", [8, 12])

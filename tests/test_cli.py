@@ -5,6 +5,7 @@ import io
 import json
 import operator
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -735,12 +736,56 @@ def test_verify_json_is_strict(tmp_path, capsys):
 
 
 def test_bench_json_is_strict(tmp_path, capsys):
-    path = overflowing_lattice(tmp_path, capsys)
+    # bench runs only files verify accepts: here the n=2 lattice plus the
+    # pair (a, b, c), (a, b, -c) with a, b of 1e160 and c of 1e-320.  The
+    # pair cancels in the dense tensor, built as (c a) b, but its leaf
+    # products, a b, overflow, so the executor's results are inf and NaN
+    path = gen_lattice(tmp_path, capsys)
+    dec = load_decomposition(path)
+    a, b, c = np.ones((3, 1, 2, 2)) * np.array([1e160, 1e160, 1e-320])[:, None, None, None]
+    save_decomposition(
+        Decomposition(np.concatenate([dec.U, a, a]), np.concatenate([dec.V, b, b]), np.concatenate([dec.W, c, -c])), path
+    )
+    assert run(capsys, "verify", str(path))[0] == 0
     with np.errstate(all="ignore"):
         code, out, _ = run(capsys, "bench", str(path), "--sizes", "4,8", "--cutoff", "1", "--json")
     rows = json.loads(out, parse_constant=_refuse_constant)
     assert code == 0 and [r["size"] for r in rows] == [4, 8]
     assert all(len(r) == 7 and r["max_error"] is None for r in rows)
+
+
+def orbit_with_1e308(tmp_path, capsys):
+    """The n=2 orbit file with one entry set to 1e308: invalid (residual
+    1e308), and its dense tensor and products overflow."""
+    path = tmp_path / "o1e308.json"
+    assert run(capsys, "gen", "--n", "2", "--scheme", "orbit", "-o", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    doc["terms"][0]["a"][0] = 1e308
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command", ["multiply", "bench"])
+def test_bench_checks_the_file_as_multiply_does(tmp_path, capsys, command):
+    path, fa, fc = orbit_with_1e308(tmp_path, capsys), tmp_path / "a.txt", tmp_path / "c.txt"
+    save_matrix(np.eye(4), fa)
+    extra = (str(fa), str(fa), "-o", str(fc)) if command == "multiply" else ("--sizes", "4", "--json")
+    code, out, err = run(capsys, command, str(path), *extra, "--cutoff", "1")
+    assert (code, out, err) == (1, "", "warning: decomposition residual 1.000e+308 exceeds tolerance\n")
+    assert not fc.exists()
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["verify", "--json"], ["bench", "--sizes", "4", "--cutoff", "1", "--json"]])
+def test_no_numpy_warning_beside_a_verdict(tmp_path, capsys, argv):
+    # an overflow is reported in the verdict (an inf or NaN residual); numpy
+    # warns of nothing, and stderr holds only the command's own lines
+    path = orbit_with_1e308(tmp_path, capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert err == ("warning: decomposition residual 1.000e+308 exceeds tolerance\n" if argv[0] == "bench" else "")
+    assert argv[0] == "bench" or "valid (tol=1e-09): False" in out or '"valid": false' in out
 
 
 @pytest.mark.parametrize("sizes", ["a", "4,", "0", "1", "4,-3"])

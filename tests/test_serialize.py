@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -510,6 +511,50 @@ def test_matrix_refusals_keep_their_messages(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(SchemaError, match=message):
         load_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        ("2 2\n\n1 2\n\n3 4\n\n", [[1, 2], [3, 4]]),
+        ("2 2\n  \n1 2\n\t \n3 4\n   ", [[1, 2], [3, 4]]),
+        ("2 2\r\n1 2\r\n3 4\r\n", [[1, 2], [3, 4]]),
+        ("1 2\n1_0 2\n", [[10, 2]]),
+        ("1 2\n\u0661\u0662 3\n", [[12, 3]]),
+        ("1 2\n1\xa02\n", [[1, 2]]),
+    ],
+    ids=["blank-lines", "whitespace-only-lines", "crlf", "underscore", "non-ascii-digits", "no-break-space"],
+)
+def test_matrix_lines_numpy_refuses_load_as_float_reads_them(tmp_path, text, values):
+    # a whitespace-only line would read as [-1.] through numpy's parser; a
+    # token numpy refuses but float() reads is read token by token
+    path = tmp_path / "m.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert np.array_equal(load_matrix(path), values)
+
+
+def test_matrix_warning_on_unmatched_data_refuses_the_line(tmp_path, monkeypatch):
+    # an older numpy only warns when it cannot read a line to its end, and
+    # returns what it read so far: the warning must send the line to float()
+    def warning_fromstring(line, sep):
+        warnings.warn("string or file could not be read to its end due to unmatched data", DeprecationWarning)
+        return np.array([1.0])
+
+    monkeypatch.setattr(np, "fromstring", warning_fromstring)
+    path = tmp_path / "m.txt"
+    path.write_text("1 2\n1_0 2\n")
+    assert np.array_equal(load_matrix(path), [[10, 2]])
+
+
+def test_matrix_save_load_save_is_bit_identical(tmp_path, nprng):
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-17, 0.1, 1 / 3, 2.0**53 + 2]
+    m = np.concatenate([special, nprng.standard_normal(290) * 10.0 ** nprng.integers(-300, 300, 290)]).reshape(12, 25)
+    first, second = tmp_path / "m.txt", tmp_path / "again.txt"
+    save_matrix(m, first)
+    loaded = load_matrix(first)
+    assert loaded.tobytes() == m.tobytes()
+    save_matrix(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_matrix_unreadable_file_refused(tmp_path):
