@@ -14,32 +14,32 @@ and workspace).  There is one executor, multiply_recursive; multiply_via is its
 one-level case (cutoff 1 at the decomposition's own size).
 
 multiply_recursive refuses (RefusedInput) matrices not square and of one
-size.  It copies B once, row-major, into a fresh p x p array Y by np.pad
-(only the pad is zero-filled), which is also the result.  A is only read
-(a padded or non-float64 A is copied once, to float64).  At or below the
-cutoff the product is one matmul, A @ Y, reading an unpadded B in place.
-Above it, each node overwrites its B operand with the product, its n*n
-sub-blocks a stack in the recursive block layout (index digits ordered i0,
-j0, i1, j1, ..., row, col).  Below the top node every stack is contiguous;
-the top node reads A and B and writes C through one panel view (_a_panels),
-a column panel at a time through a small buffer, whatever the strides.  One
-GEMM of the B-side factors with B's stack forms all rank B sides, after
-which B's blocks are free to take the A sides, a group at a time, and the
-children's stacks.  The leaf parent's stack has one slack block ahead of
-its rank B sides, so leaf t writes its product (np.matmul) straight into
-block t, the B side of term t - 1, used by then.  With small leaves that
-depth-first walk spends its time in Python, a call per node and per leaf,
-so a batched plan runs its bottom two levels breadth-first: the node two
-levels above the leaves forms its children's A sides with one GEMM, and its
-grandchildren's B sides, A sides and leaf products and its children's
-products with one batched np.matmul each, in the batch region T.  One GEMM
-of the C-side factors with the finished stack writes each C block once.
-These GEMMs have an inner dimension of n*n or rank and rows of up to p^2/n^2 entries,
-so they are bound by memory bandwidth; above PANEL columns each runs in
-column panels of PANEL, on which BLAS runs them up to about twice as fast.
-A padded result is cropped to a copy once the workspace is freed.  The
-factor rows come straight from the decomposition's stacks U, V and W
-(transposed for c^T).
+size.  At or below the cutoff the product is one matmul, A @ B, on the
+inputs as given: nothing is padded, copied or cropped.  Above it, B is
+copied once, row-major, into a fresh p x p array Y by np.pad (only the pad
+is zero-filled), which is also the result, and A is only read (a padded or
+non-float64 A is copied once, to float64).  Each node overwrites its B
+operand with the product, its n*n sub-blocks a stack in the recursive block
+layout (index digits ordered i0, j0, i1, j1, ..., row, col).  Below the top
+node every stack is contiguous; the top node reads A and B and writes C
+through one panel view (_a_panels), a column panel at a time through a
+small buffer, whatever the strides.  One GEMM of the B-side factors with B's
+stack forms all rank B sides, after which B's blocks are free to take the A
+sides, a group at a time, and the children's stacks.  The leaf parent's
+stack has one slack block ahead of its rank B sides, so leaf t writes its
+product (np.matmul) straight into block t, the B side of term t - 1, used
+by then.  With small leaves that depth-first walk spends its time in Python,
+a call per node and per leaf, so a batched plan runs its bottom two levels
+breadth-first: the node two levels above the leaves forms its children's A
+sides with one GEMM, and its grandchildren's B sides, A sides and leaf
+products and its children's products with one batched np.matmul each, in
+the batch region T.  One GEMM of the C-side factors with the finished stack
+writes each C block once.  These GEMMs have an inner dimension of n*n or
+rank and rows of up to p^2/n^2 entries, so they are bound by memory
+bandwidth; each runs in column panels of at most PANEL, on which BLAS runs
+them up to about twice as fast.  A padded result is cropped to a copy once
+the workspace is freed.  The factor rows come straight from the
+decomposition's stacks U, V and W (transposed for c^T).
 """
 
 from __future__ import annotations
@@ -105,10 +105,11 @@ _Plan = namedtuple("_Plan", "n padded depth leaf count spill groups batch worksp
 
 def _plan(n: int, rank: int, size: int, cutoff: int) -> _Plan:
     """The executor's shape for a rank-`rank` n x n scheme on size x size
-    inputs.  They pad with zeros to the next power of n, p = `padded`; the
-    recursion splits while the block is larger than the cutoff, `depth`
-    times, to `leaf` x `leaf` blocks: rank^depth leaf products of leaf^3
-    scalar multiplications each (`count`).
+    inputs.  A matrix the recursion splits is padded with zeros to the next
+    power of n, p = `padded`; the recursion splits while the block is larger
+    than the cutoff, `depth` times, to `leaf` x `leaf` blocks: rank^depth
+    leaf products of leaf^3 scalar multiplications each (`count`).  At depth
+    0 nothing is padded: p = leaf = size, and the count is size^3.
 
     The one block rule: a node forms its A sides in every block of its B
     operand that holds no child stack, g at a time by one GEMM of g A-side
@@ -140,7 +141,7 @@ def _plan(n: int, rank: int, size: int, cutoff: int) -> _Plan:
     depth 1, where the top node is the leaf parent, S has rank + 1 blocks of
     (p/n)^2.  That is 2.75 p^2 and a little more for the n = 2 orbit at
     depth >= 2, at most BATCH entries more when batched, and a padded A
-    adds its p^2 copy.
+    adds its p^2 copy.  A depth-0 product holds only its size^2 result.
     """
     if cutoff < 1:
         raise RefusedInput("cutoff must be >= 1")
@@ -149,6 +150,7 @@ def _plan(n: int, rank: int, size: int, cutoff: int) -> _Plan:
     padded = 1
     while padded < size:
         padded *= n
+    padded = padded if padded > cutoff else size  # only a matrix the recursion splits is padded
     depth, leaf = 0, padded
     while leaf > cutoff:
         leaf //= n
@@ -202,14 +204,10 @@ def _compile(dec: Decomposition):
 
 
 def _panels(M, src, dst) -> None:
-    """dst := M @ src.  Above PANEL columns the product runs panel by panel:
-    these small-K GEMMs over long rows are bandwidth-bound, and BLAS runs
-    them up to about twice as fast on cache-sized column panels."""
-    cols = src.shape[1]
-    if cols <= PANEL:
-        np.dot(M, src, out=dst)
-        return
-    for c in range(0, cols, PANEL):
+    """dst := M @ src, panel by panel of PANEL columns: these small-K GEMMs
+    over long rows are bandwidth-bound, and BLAS runs them up to about twice
+    as fast on cache-sized column panels."""
+    for c in range(0, src.shape[1], PANEL):
         np.matmul(M, src[:, c : c + PANEL], out=dst[:, c : c + PANEL])
 
 
@@ -299,16 +297,15 @@ def multiply_recursive(
     t0 = time.perf_counter()
     # A is only read, unless it must be padded or converted.  Y is B's copy, the top node's free blocks
     # and the result, C-ordered: np.pad keeps an F-ordered B's order, and Y.reshape(-1) would then copy.
-    A = np.asarray(A, dtype=np.float64) if padded == size else np.pad(np.asarray(A, dtype=np.float64), (0, padded - size))
-    Y = np.asarray(B, dtype=np.float64) if padded == size and not depth else np.pad(np.ascontiguousarray(B, dtype=np.float64), (0, padded - size))
     if depth:
+        A = np.asarray(A, dtype=np.float64) if padded == size else np.pad(np.asarray(A, dtype=np.float64), (0, padded - size))
+        Y = np.pad(np.ascontiguousarray(B, dtype=np.float64), (0, padded - size))
         S = np.empty(plan.workspace)  # the stacks, then the batch region T
         leaves = _node(A, Y.reshape(-1), S, 0, plan, (*_compile(dec), S[S.size - plan.batch :]))
-        del S  # freed before cropping
-    else:
-        Y, leaves = A @ Y, 1
-    del A  # free any converted copy of A before cropping
-    result = Y if padded == size else Y[:size, :size].copy()
+        del A, S  # any converted copy of A and the workspace, freed before cropping
+        result = Y if padded == size else Y[:size, :size].copy()
+    else:  # the plain product, on the inputs as given
+        result, leaves = np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64), 1
     return MulReport(
         result=result,
         scalar_multiplications=leaves * plan.leaf**3,

@@ -38,6 +38,7 @@ BASIS = np.array(
 )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows in the table, as inf or nan
 def fourier_coefficients(T: np.ndarray) -> dict[tuple[str, str, str], Fraction]:
     """All 64 coefficients c(alpha, beta, gamma) = <T, a (x) b (x) c> / 8.
 

@@ -30,15 +30,19 @@ def lattice(n):
 
 
 def _reference_recursive(dec, A, B, cutoff=1):
-    """The per-term loop executor: pads to the next power of n and, at each
-    node, forms every block combination and accumulates every product term
-    by term.  Returns (result, scalar multiplications, recursion depth)."""
+    """The per-term loop executor: pads a matrix it splits to the next power
+    of n and, at each node, forms every block combination and accumulates
+    every product term by term.  A matrix at or below the cutoff is not
+    split, so it is not padded either: its plain product costs size^3, not
+    padded^3.  Returns (result, scalar multiplications, recursion depth)."""
     n = dec.n
     d = dec.to_float() if dec.exact else dec
     size = A.shape[0]
     padded = 1
     while padded < max(size, 1):
         padded *= n
+    if padded <= cutoff:
+        padded = size
     Ap = np.zeros((padded, padded))
     Bp = np.zeros((padded, padded))
     Ap[:size, :size] = A
@@ -440,18 +444,31 @@ def test_recursive_peak_memory(name, size, cutoff, nprng):
 
 
 def test_depth0_product_reads_b_in_place(nprng):
-    # at or below the cutoff an unpadded product holds only its s x s result
-    dec, s = EXECUTOR_DECS["orbit2"](), 256
-    A, B = nprng.standard_normal((2, s, s))
-    multiply_recursive(dec, A, B, cutoff=s)  # warm up numpy's caches
-    tracemalloc.start()
-    try:
-        rep = multiply_recursive(dec, A, B, cutoff=s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.recursion_depth == 0 and np.array_equal(rep.result, A @ B)
-    assert peak <= 8 * s**2 + 64 * 1024
+    # at or below the cutoff the product, of a power of n (256) or not (200),
+    # is A @ B on the inputs as given: it holds only its s x s result and
+    # costs s^3
+    dec, cutoff = EXECUTOR_DECS["orbit2"](), 256
+    for s in (256, 200):
+        A, B = nprng.standard_normal((2, s, s))
+        multiply_recursive(dec, A, B, cutoff=cutoff)  # warm up numpy's caches
+        tracemalloc.start()
+        try:
+            rep = multiply_recursive(dec, A, B, cutoff=cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.recursion_depth == 0 and np.array_equal(rep.result, A @ B)
+        assert rep.scalar_multiplications == s**3 == predicted_mult_count(2, 7, s, cutoff)
+        assert peak <= 8 * s**2 + 64 * 1024
+
+
+def test_depth0_plan_is_not_padded():
+    # 200 <= 256 is never split, so it is not padded to 256; 300 is split
+    # once, so it is padded to 512 as before
+    plan = _plan(2, 7, 200, 256)
+    assert (plan.padded, plan.depth, plan.leaf, plan.count, plan.workspace) == (200, 0, 200, 200**3, 0)
+    plan = _plan(2, 7, 300, 256)
+    assert (plan.padded, plan.depth) == (512, 1)
 
 
 def test_recursive_peak_memory_transposed_a(nprng):
