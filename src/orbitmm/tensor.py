@@ -26,14 +26,19 @@ in scalar kind (mixing them raises ValueError); conversion is explicit
 (`to_float`, which returns the decomposition itself when it is already
 float64).
 
-`tensor_of` builds the dense tensor one output slot at a time: slot (a, d)
-is T[(a,d), (c,f), (b,e)] = sum_r U[r,ad] W[r,cf] V[r,be], one GEMM of the
-r x n^2 temporary W * U[:, ad] with V written straight into the result, and
-nothing is zero-filled or accumulated.  The fresh array it returns lets the
-verifiers write into it (subtract MM_n through `mm_support`, take abs or
-square in place) instead of building a second n^6 tensor.  Every dense n^6
-tensor (`tensor_of`, `mm_tensor`) is refused with a RefusedInput (a
-ValueError) before anything is allocated, above MAX_DENSE_BYTES of float64.
+`tensor_of` builds the dense tensor at the cost of the distinct A-side
+factors (a lattice's n^3 - n + 1 terms share n^2 + n + 1 U rows).  With R_i
+the terms whose U row is the distinct row Ud[i], one of d,
+T[(a,d), (c,f), (b,e)] = sum_i Ud[i,ad] M_i[cf,be] with M_i = W[R_i]^T V[R_i].
+The M_i of the groups of one size are one batched GEMM, built a chunk of
+(c, f) slots at a time, and each chunk of T is one GEMM over the d rows
+written straight into the result: r n^4 + d n^6 multiply-adds, where a sum
+over the terms does r n^6, and nothing is zero-filled or accumulated.  The
+fresh array it returns lets the verifiers write into it (subtract MM_n
+through `mm_support`, take abs or square in place) instead of building a
+second n^6 tensor.  Every dense n^6 tensor (`tensor_of`, `mm_tensor`) is
+refused with a RefusedInput (a ValueError) before anything is allocated,
+above MAX_DENSE_BYTES of float64.
 """
 
 from __future__ import annotations
@@ -157,16 +162,57 @@ def mm_tensor(n: int, exact: bool = False) -> np.ndarray:
     return T
 
 
+def _row_groups(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's index among the distinct rows of the 2-d stack X, in order
+    of first appearance, and the first row that holds each.  Float and
+    integer rows are told apart by their bytes at the stack's own itemsize
+    (0.0 and -0.0 differ), Fraction rows by value."""
+    if is_exact(X):
+        keys = map(tuple, X.tolist())
+    else:
+        X = np.ascontiguousarray(X)
+        keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel().tolist()
+    distinct: dict = {}
+    group = np.array([distinct.setdefault(k, len(distinct)) for k in keys], dtype=np.intp)
+    return group, np.unique(group, return_index=True)[1]
+
+
 def tensor_of(dec: Decomposition) -> np.ndarray:
-    """Materialize the dense sum of a decomposition's separable terms."""
+    """Materialize the dense sum of a decomposition's separable terms.
+
+    For float64 stacks the peak is the result plus O(r n^2) entries,
+    8 (n^6 + 2 r n^2 + d n^2 + d k n^2) bytes and O(r) bytes of indices:
+    the V and W stacks in group order, the d distinct U rows, and one chunk
+    of M, d x k slots of n^2 entries with k = min(r // d, n^2), so d k <= r.
+    The row keys (r n^2 entries) are freed before the result is allocated."""
     n = dec.n
     _require_dense_size(n)
-    n2 = n * n
-    U, V, W = (X.reshape(-1, n2) for X in (dec.U, dec.V, dec.W))
-    # T[(a,d), (c,f), (b,e)] = sum_r U[r,ad] W[r,cf] V[r,be]: one GEMM per slot ad
-    T = np.empty((n2, n2, n2), dtype=object if dec.exact else np.float64)
-    for ad in range(n2):
-        np.matmul((W * U[:, ad, None]).T, V, out=T[ad])
-    if dec.exact and not len(U):  # an empty object GEMM writes the int 0
+    n2, r = n * n, dec.rank
+    dtype = object if dec.exact else np.float64
+    U, V, W = (X.reshape(r, n2) for X in (dec.U, dec.V, dec.W))
+    group, first = _row_groups(U)
+    d = len(first)
+    # the distinct rows by size, then first appearance, and the terms in the
+    # order of their rows: the groups of one size s are one (groups, s, n^2) batch
+    size = np.bincount(group)
+    by_size = np.argsort(size, kind="stable")
+    terms = np.lexsort((group, size[group]))
+    Ud, Vs, Ws = (np.asarray(X[rows], dtype) for X, rows in ((U, first[by_size]), (V, terms), (W, terms)))
+    batches, i0, t0 = [], 0, 0
+    for s, g in zip(*np.unique(size[by_size], return_counts=True)):
+        Wg, Vg = (X[t0 : t0 + g * s].reshape(g, s, n2) for X in (Ws, Vs))
+        batches.append((slice(i0, i0 + g), Wg, Vg))
+        i0, t0 = i0 + g, t0 + g * s
+    # k slots (c, f) of M at a time keep it at d k n^2 <= r n^2 entries
+    k = min(r // d, n2) if d else n2
+    buf = np.empty(d * k * n2, dtype)
+    T = np.empty((n2, n2, n2), dtype)
+    for c0 in range(0, n2, k):
+        c1 = min(c0 + k, n2)
+        M = buf[: d * (c1 - c0) * n2].reshape(d, c1 - c0, n2)
+        for rows, Wg, Vg in batches:
+            np.matmul(Wg[:, :, c0:c1].transpose(0, 2, 1), Vg, out=M[rows])
+        np.matmul(Ud.T, M.reshape(d, (c1 - c0) * n2), out=T[:, c0:c1].reshape(n2, (c1 - c0) * n2))
+    if dec.exact and not r:  # an empty object GEMM writes the int 0
         T.fill(Fraction(0))
     return T.reshape((n,) * 6).transpose(0, 4, 2, 1, 5, 3)

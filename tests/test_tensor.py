@@ -15,6 +15,7 @@ from orbitmm.tensor import (
     RefusedInput,
     is_exact,
     mm_support,
+    _row_groups,
     mm_tensor,
     tensor_of,
 )
@@ -224,18 +225,63 @@ def test_dense_size_guard():
     assert peak < 1 << 20  # refused before any n^6 allocation
 
 
-@pytest.mark.parametrize("build", [tensor_of, invariants_report])
-def test_dense_builds_peak_at_one_dense_tensor(build):
-    # the result and r x n^2 temporaries, never a second n^6 array
-    dec = lattice_decomposition(simplex_frame(7))
-    n, r = dec.n, dec.rank
+@pytest.mark.parametrize(
+    "build, n",
+    [(tensor_of, 7), (invariants_report, 7), (tensor_of, 12), (invariants_report, 12)],
+    ids=["tensor_of", "invariants_report", "tensor_of-n12", "invariants_report-n12"],
+)
+def test_dense_builds_peak_at_one_dense_tensor(build, n):
+    # tensor_of's law, never a second n^6 array: the result, the V and W
+    # stacks in group order, the d = n^2 + n + 1 distinct U rows of a
+    # lattice and one chunk of M (d x k slots of n^2), with 16 r bytes of
+    # term indices
+    dec = lattice_decomposition(simplex_frame(n))
+    r, d = dec.rank, n * n + n + 1
+    k = r // d
     tracemalloc.start()
     try:
         build(dec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (n**6 + 2 * r * n * n) + (64 << 10)
+    assert peak <= 8 * (n**6 + (2 * r + d + d * k) * n * n) + 16 * r + (64 << 10)
+
+
+_GROUPED = [2, 1, 2, 0, 2, 1, 2, 2]  # each term's U row: groups of 1, 2 and 5, out of order
+
+
+@pytest.mark.parametrize("kind", [np.float64, np.float32, np.int64, object], ids=["float64", "float32", "int64", "fraction"])
+def test_tensor_of_groups_repeated_rows(nprng, kind):
+    if kind in (np.float64, np.float32):
+        X = nprng.standard_normal((3, len(_GROUPED), 3, 3))
+    else:
+        X = nprng.integers(-9, 10, (3, len(_GROUPED), 3, 3))
+    X[0] = X[0, _GROUPED]
+    if kind is object:
+        X = np.vectorize(lambda x: Fraction(int(x), 7), otypes=[object])(X)
+    dec = Decomposition(*X.astype(kind))
+    group, first = _row_groups(dec.U.reshape(len(_GROUPED), 9))
+    assert group.tolist() == [0, 1, 0, 2, 0, 1, 0, 0] and first.tolist() == [0, 1, 3]
+    got = tensor_of(dec)
+    if kind is object:
+        assert got.dtype == object and np.array_equal(got, _reference_tensor_of(dec))
+        return
+    # a float32 stack is summed in float64, where the reference's outer
+    # products would round in float32: compare with its float64 values
+    want = _reference_tensor_of(Decomposition(*(Y.astype(np.float64) for Y in (dec.U, dec.V, dec.W))))
+    assert got.dtype == np.float64 and np.abs(got - want).max() <= 1e-12
+
+
+def test_tensor_of_keeps_signed_zero_rows_apart(nprng):
+    # rows equal but for a -0.0 against a 0.0 differ in their bytes, so
+    # they are two groups, while a bitwise repeat joins its row's group
+    U = np.ones((3, 2, 2))
+    U[0, 0, 1], U[1, 0, 1], U[2, 0, 1] = 0.0, -0.0, 0.0
+    V, W = nprng.standard_normal((2, 3, 2, 2))
+    group, first = _row_groups(U.reshape(3, 4))
+    assert group.tolist() == [0, 1, 0] and first.tolist() == [0, 1]
+    dec = Decomposition(U, V, W)
+    assert np.abs(tensor_of(dec) - _reference_tensor_of(dec)).max() <= 1e-12
 
 
 def test_operator_trace_identity_cube():
