@@ -3,24 +3,31 @@
 Decomposition files are JSON documents:
 
     {
-      "format_version": 1,
+      "format_version": 2,
       "n": 2,
       "scheme": "lattice",
       "params": {...},
       "scalar_kind": "rational" | "float64",
-      "terms": [{"a": [...], "b": [...], "c": [...]}, ...]
+      "rows": {"a": [[...], ...], "b": [[...], ...], "c": [[...], ...]},
+      "terms": [[ia, ib, ic], ...]
     }
 
-with each matrix stored row-major; rationals serialize as "p/q" strings and
-floats as 17-significant-digit decimals, so both kinds round-trip losslessly.
-The file keeps one record per term; in memory each side is one factor stack
-(see `tensor`).  A factor often recurs across terms (the lattice's n^3 - n
-+ 1 terms have n^2 + n + 1 distinct factors per side), so each distinct
-factor row is parsed and formatted once and indexed back into the stack.
-Saving writes the bytes of json.dumps(doc, indent=1), the terms laid out
-by joins.  Loading refuses with SchemaError any file outside the schema,
-such as `terms` that is not a list, a format_version other than the JSON
-integer 1 (not true or 1.0) or a JSON boolean entry in a float64 file.
+Each side's distinct factors are stored once under "rows", each matrix
+row-major, and term t is a[ia] (x) b[ib] (x) c[ic] for its index triple:
+the lattice's n^3 - n + 1 terms have n^2 + n + 1 distinct factors per side.
+Rationals serialize as "p/q" strings and floats as 17-significant-digit
+decimals, so both kinds round-trip losslessly.  Saving keys the rows by
+`tensor._row_groups` (float rows by their bytes: 0.0 and -0.0 differ),
+formats each distinct float once and writes the bytes of
+json.dumps(doc, indent=1), except that each row and each triple stands on
+one line as json.dumps(row) writes it.  Loading converts each given row
+once and gathers the (rank, n, n) stacks by the triples.  Version 1 files,
+one {"a": [...], "b": [...], "c": [...]} record per term under "terms", are
+still read: their rows are the records and their index the identity.
+Loading refuses with SchemaError any file outside the schema, such as
+`terms` that is not a list, a format_version other than the JSON integer 1
+or 2 (not true or 2.0), an index that is not a JSON integer naming one of
+its side's rows, or a JSON boolean entry in a float64 file.
 
 Matrix files are plain text: first line "rows cols", then row-major
 whitespace-separated decimals.  Both directions stream, a row or a line at
@@ -35,16 +42,16 @@ from __future__ import annotations
 import json
 import warnings
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
 
-from .tensor import Decomposition, RefusedInput, is_exact
+from .tensor import Decomposition, RefusedInput, _row_groups, is_exact
 
 __all__ = ["SchemaError", "save_decomposition", "load_decomposition", "save_matrix", "load_matrix"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class SchemaError(RefusedInput):
@@ -58,94 +65,74 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _dump_scalar(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _dump_stack(X: np.ndarray) -> tuple[list[list[str]], list[int]]:
-    """The distinct factors of a stack as row-major lists of scalar strings,
-    and each factor's index among them.  Float factors are told apart by
-    their bytes (0.0 and -0.0 differ), and each distinct bit pattern in them
-    is formatted once, by one %-operation."""
+def _dump_stack(X: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct factors of a stack, each as one line of JSON, and each
+    factor's index among them.  Each distinct float bit pattern in them is
+    formatted once, by one %-operation."""
     flat = X.reshape(len(X), X.shape[1] * X.shape[2])
+    where, first = _row_groups(flat)
     if is_exact(X):
-        keys = map(tuple, flat.tolist())
+        rows = [[f"{f.numerator}/{f.denominator}" for f in map(Fraction, row)] for row in flat[first].tolist()]
     else:
-        flat = np.ascontiguousarray(flat, dtype=np.float64)
-        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel().tolist()
-    distinct: dict = {}
-    where = [distinct.setdefault(k, len(distinct)) for k in keys]
-    if is_exact(X):
-        return [[_dump_scalar(x) for x in row] for row in distinct], where
-    rows = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(len(distinct), flat.shape[1])
-    bits, inverse = np.unique(rows, return_inverse=True)
-    values = bits.view(np.float64).tolist()
-    strings = (" ".join(["%.17g"] * len(values)) % tuple(values)).split(" ")
-    return np.array(strings, dtype=object)[inverse.reshape(rows.shape)].tolist(), where
+        rows = np.asarray(flat[first], dtype=np.float64)
+        bits, inverse = np.unique(rows.view(np.int64), return_inverse=True)
+        values = bits.view(np.float64).tolist()
+        strings = (" ".join(["%.17g"] * len(values)) % tuple(values)).split(" ")
+        rows = np.array(strings, dtype=object)[inverse.reshape(rows.shape)].tolist()
+    return ['["' + '", "'.join(row) + '"]' for row in rows], where
+
+
+def _array(lines: list[str], depth: int) -> str:
+    """One-line items as json.dumps(indent=1) lays out an array at this depth."""
+    pad = "\n" + " " * depth
+    return f"[{pad} " + f",{pad} ".join(lines) + f"{pad}]" if lines else "[]"
 
 
 def save_decomposition(dec: Decomposition, path) -> None:
-    """Write json.dumps(doc, indent=1) byte for byte: the header fields through
-    json, then the terms (the last field) laid out by joins, as the tokens of
-    `_dump_stack` (digits, sign, ".", "e", "/", inf, nan) need no escaping;
-    each distinct factor is joined once."""
-    head = {
-        "format_version": FORMAT_VERSION,
-        "n": dec.n,
-        "scheme": dec.scheme,
-        "params": dec.params,
-        "scalar_kind": "rational" if dec.exact else "float64",
-    }
-    side = '   "%s": [\n    "%s"\n   ]'
-    sides = []
-    for s, X in zip("abc", (dec.U, dec.V, dec.W)):
-        rows, where = _dump_stack(X)
-        texts = [side % (s, '",\n    "'.join(row)) for row in rows]
-        sides.append([texts[i] for i in where])
-    terms = ",\n".join("  {\n" + ",\n".join(t) + "\n  }" for t in zip(*sides))
-    # reopen the header's closing "\n}" to append "terms" as its last field
-    text = json.dumps(head, indent=1)[:-2] + ',\n "terms": ' + (f"[\n{terms}\n ]" if terms else "[]") + "\n}"
+    """Write the header fields through json.dumps(indent=1), then "rows" and
+    "terms" (the last fields) by joins, as the tokens of `_dump_stack`
+    (digits, sign, ".", "e", "/", inf, nan) need no escaping."""
+    kind = "rational" if dec.exact else "float64"
+    head = {"format_version": FORMAT_VERSION, "n": dec.n, "scheme": dec.scheme, "params": dec.params, "scalar_kind": kind}
+    sides = [_dump_stack(X) for X in (dec.U, dec.V, dec.W)]
+    rows = ",\n".join(f'  "{s}": {_array(lines, 2)}' for s, (lines, _) in zip("abc", sides))
+    terms = _array([str(t) for t in np.column_stack([where for _, where in sides]).tolist()], 1)
+    # reopen the header's closing "\n}" to append "rows" and "terms" as its last fields
+    text = json.dumps(head, indent=1)[:-2] + f',\n "rows": {{\n{rows}\n }},\n "terms": {terms}\n}}'
     try:
         Path(path).write_text(text)
     except OSError as e:
         raise SchemaError(f"cannot write decomposition file: {e}") from e
 
 
-def _load_stack(rows: list, n: int, kind: str) -> np.ndarray:
-    """One side of the file's terms, each a row-major list of n*n scalar
-    strings, as a (rank, n, n) stack of the file's scalar kind.  Each
-    distinct row is converted once, in order of first appearance.  Its key,
-    its strings joined by ",", is shared only by equal rows or by rows that
-    hold a "," and are refused, so a refusal names the same entry as a
-    conversion of every row.  A number joins to no key (0 == -0.0 would
-    merge rows), so a side that holds one converts every row."""
+def _load_stack(rows: list, index: np.ndarray, n: int, kind: str) -> np.ndarray:
+    """One side's rows, each a row-major list of n*n scalars converted once,
+    gathered by `index` into a stack; a refusal names the first bad entry."""
+    if not isinstance(rows, list):  # an object or a string iterates as keys or characters
+        raise TypeError(f"rows must be a list, got {type(rows).__name__}")
     for row in rows:
         if len(row) != n * n:
             raise SchemaError(f"matrix has {len(row)} entries, expected {n * n}")
         if not isinstance(row, list):  # a JSON string or object has a length too
             raise TypeError(f"matrix must be a list, got {type(row).__name__}")
-    distinct: dict = {}
-    try:
-        where = [distinct.setdefault(",".join(row), len(distinct)) for row in rows]
-        rows = [rows[i] for i in np.unique(where, return_index=True)[1]]
-    except TypeError:  # a non-string entry: a JSON 0.1 is not 1/10, nor a JSON true 1.0
-        where = slice(None)
-        rational = kind == "rational"
-        if bad := [s for row in rows for s in row if isinstance(s, bool) or rational and not isinstance(s, str)]:
-            wanted = "'p/q' strings" if rational else "decimal strings or numbers"
-            raise SchemaError(f"{kind} entries must be {wanted}, got {bad[0]!r}")
-    if kind == "rational":
-        X = np.array([Fraction(s) for row in rows for s in row], dtype=object).reshape(len(rows), n * n)[where]
+    if len(bad := index[(index < 0) | (index >= len(rows))]):  # numpy would wrap a negative index
+        raise SchemaError(f"row index {bad[0]} is outside the side's {len(rows)} rows")
+    entries, rational = [*chain.from_iterable(rows)], kind == "rational"
+    if bool in (types := set(map(type, entries))) or rational and types - {str}:  # a JSON 0.1 is not 1/10, nor true 1.0
+        bad = next(s for s in entries if type(s) is bool or rational and type(s) is not str)
+        wanted = "'p/q' strings" if rational else "decimal strings or numbers"
+        raise SchemaError(f"{kind} entries must be {wanted}, got {bad!r}")
+    if rational:
+        X = np.array([Fraction(s) for s in entries], dtype=object)
     else:
-        X = _finite(np.array(rows, dtype=np.float64).reshape(len(rows), n * n)[where], "float64 matrix")
-    return X.reshape(-1, n, n)
+        X = _finite(np.array(entries, dtype=np.float64), "float64 matrix")
+    return X.reshape(len(rows), n, n)[index]
 
 
 def load_decomposition(path) -> Decomposition:
     try:
         doc = json.loads(Path(path).read_text())
-        if (version := doc["format_version"]) != FORMAT_VERSION or type(version) is not int:  # True == 1.0 == 1
+        if (version := doc["format_version"]) not in (1, 2) or type(version) is not int:  # True == 1.0 == 1
             raise SchemaError(f"unsupported format_version {version}")
         n, kind = doc["n"], doc["scalar_kind"]
         if not isinstance(n, int) or isinstance(n, bool):
@@ -161,7 +148,14 @@ def load_decomposition(path) -> Decomposition:
             raise SchemaError(f"params must be an object, got {params!r}")
         if not isinstance(terms := doc["terms"], list):  # an object or a string iterates as keys or characters
             raise TypeError(f"terms must be a list, got {type(terms).__name__}")
-        U, V, W = (_load_stack([t[s] for t in terms], n, kind) for s in "abc")
+        if version == 1:  # one record per term: the records are the rows, in term order
+            rows, index = {s: [t[s] for t in terms] for s in "abc"}, [np.arange(len(terms))] * 3
+        else:
+            for t in terms:  # true == 1 and 1.0 == 1 would index as 1
+                if type(t) is not list or len(t) != 3 or not all(type(i) is int for i in t):
+                    raise SchemaError(f"a term must be a list of 3 integer row indices, got {t!r}")
+            rows, index = doc["rows"], np.array(terms, dtype=np.int64).reshape(len(terms), 3).T
+        U, V, W = (_load_stack(rows[s], i, n, kind) for s, i in zip("abc", index))
         return Decomposition(U, V, W, scheme, params)
     except SchemaError:
         raise

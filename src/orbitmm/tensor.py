@@ -164,9 +164,9 @@ def mm_tensor(n: int, exact: bool = False) -> np.ndarray:
 
 def _row_groups(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's index among the distinct rows of the 2-d stack X, in order
-    of first appearance, and the first row that holds each.  Float and
-    integer rows are told apart by their bytes at the stack's own itemsize
-    (0.0 and -0.0 differ), Fraction rows by value."""
+    of first appearance, and the first row that holds each: the one row key
+    of the package.  Float and integer rows are told apart by their bytes at
+    the stack's own itemsize (0.0 and -0.0 differ), Fraction rows by value."""
     if is_exact(X):
         keys = map(tuple, X.tolist())
     else:

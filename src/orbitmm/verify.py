@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .frames import Frame
-from .tensor import Decomposition, RefusedInput, mm_support, tensor_of
+from .tensor import Decomposition, RefusedInput, _row_groups, mm_support, tensor_of
 
 __all__ = ["VerifyReport", "InvariantsReport", "verify_float", "verify_exact_gram", "invariants_report"]
 
@@ -132,9 +132,13 @@ class InvariantsReport:
 
     @cached_property
     def factor_ranks(self) -> tuple:
-        """Each term's (rank a, rank b, rank c), computed when first read."""
-        d = self.factors
-        return tuple(zip(*(np.linalg.matrix_rank(X, tol=1e-9).tolist() for X in (d.U, d.V, d.W))))
+        """Each term's (rank a, rank b, rank c), computed when first read: one
+        SVD per distinct factor (`_row_groups`), indexed back to the terms."""
+        ranks = []
+        for X in (self.factors.U, self.factors.V, self.factors.W):
+            where, first = _row_groups(X.reshape(self.rank, self.n**2))
+            ranks.append(np.linalg.matrix_rank(X[first], tol=1e-9)[where].tolist())
+        return tuple(zip(*ranks))
 
     def lines(self):
         yield f"n                 : {self.n}"

@@ -33,3 +33,22 @@ def rng():
 @pytest.fixture
 def nprng():
     return np.random.default_rng(20240817)
+
+
+def set_term_entry(doc: dict, term: int, side: str, k: int, value) -> None:
+    """Set entry k of one term's `side` factor in a format_version 2 document:
+    the edited row is appended to the side's rows and the term repointed to
+    it, so exactly one term changes, whatever other terms share its row."""
+    rows, col = doc["rows"][side], "abc".index(side)
+    row = list(rows[doc["terms"][term][col]])
+    row[k] = value
+    rows.append(row)
+    doc["terms"][term][col] = len(rows) - 1
+
+
+def v1_doc(doc: dict) -> dict:
+    """The format_version 1 document of a version 2 one, in the version 1
+    writer's field order: one {"a", "b", "c"} record of full rows per term."""
+    rows = doc["rows"]
+    head = {k: v for k, v in doc.items() if k not in ("rows", "terms")}
+    return {**head, "format_version": 1, "terms": [{s: rows[s][i] for s, i in zip("abc", t)} for t in doc["terms"]]}

@@ -20,6 +20,8 @@ from orbitmm.frames import fixture_frame
 from orbitmm.serialize import load_decomposition, load_matrix, save_decomposition, save_matrix
 from orbitmm.tensor import Decomposition
 
+from conftest import set_term_entry, v1_doc
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -319,7 +321,7 @@ def _corrupted_lattice3(tmp_path, capsys):
     """The n=3 lattice file with term 1's a[0] set to 5.0."""
     path = gen_lattice(tmp_path, capsys, 3)
     doc = json.loads(path.read_text())
-    doc["terms"][1]["a"][0] = "5.0"
+    set_term_entry(doc, 1, "a", 0, "5.0")
     path.write_text(json.dumps(doc))
     return path
 
@@ -349,7 +351,7 @@ def test_gen_file_verifies_until_one_entry_changes(tmp_path, capsys, gen_args, m
     assert run(capsys, "gen", *gen_args, "-o", str(path))[0] == 0
     if changed:
         doc = json.loads(path.read_text())
-        doc["terms"][5]["b"][3] = "0.25"
+        set_term_entry(doc, 5, "b", 3, "0.25")
         path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(path), "--mode", mode, "--json")
     rec = json.loads(out)
@@ -418,7 +420,7 @@ def test_verify_non_finite_coefficient_exits_2(tmp_path, capsys):
     run(capsys, "gen", "--n", "2", "--scheme", "orbit", "-o", str(path))
     doc = json.loads(path.read_text())
     assert doc["scalar_kind"] == "float64"
-    doc["terms"][1]["b"][3] = "inf"
+    set_term_entry(doc, 1, "b", 3, "inf")
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
@@ -623,7 +625,7 @@ def _unloadable(tmp_path, capsys, case):
     if case == "huge-int":
         run(capsys, "gen", "--n", "2", "--scheme", "orbit", "-o", str(path))
         doc = json.loads(path.read_text())
-        doc["terms"][1]["a"][0] = 10**400
+        set_term_entry(doc, 1, "a", 0, 10**400)
         path.write_text(json.dumps(doc))
     else:
         path.write_text("[" * 100000)
@@ -760,7 +762,7 @@ def orbit_with_1e308(tmp_path, capsys):
     path = tmp_path / "o1e308.json"
     assert run(capsys, "gen", "--n", "2", "--scheme", "orbit", "-o", str(path))[0] == 0
     doc = json.loads(path.read_text())
-    doc["terms"][0]["a"][0] = 1e308
+    set_term_entry(doc, 0, "a", 0, 1e308)
     path.write_text(json.dumps(doc))
     return path
 
@@ -876,8 +878,9 @@ def _fuzz_nodes(node, path=()):
 
 @pytest.fixture(scope="module")
 def fuzz_docs(tmp_path_factory):
-    """The n = 2 orbit and lattice files that gen writes, and the lattice
-    with each entry rewritten as the exact "p/q" of its float64 value."""
+    """The n = 2 orbit and lattice files that gen writes, the lattice with
+    each entry rewritten as the exact "p/q" of its float64 value, and the
+    lattice as a format_version 1 file."""
     tmp = tmp_path_factory.mktemp("fuzz")
     docs = {}
     for scheme in ("orbit", "lattice"):
@@ -885,10 +888,10 @@ def fuzz_docs(tmp_path_factory):
         docs[scheme] = json.loads((tmp / f"{scheme}.json").read_text())
     rational = copy.deepcopy(docs["lattice"])
     rational["scalar_kind"] = "rational"
-    for term in rational["terms"]:
-        for side in "abc":
-            term[side] = [f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in term[side]]
+    for rows in rational["rows"].values():
+        rows[:] = [[f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in row] for row in rows]
     docs["rational"] = rational
+    docs["lattice-v1"] = v1_doc(docs["lattice"])
     save_matrix(np.arange(4.0).reshape(2, 2), tmp / "a.txt")
     return tmp, docs
 

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import re
 import tracemalloc
 import warnings
@@ -26,6 +28,8 @@ from orbitmm.serialize import (
     save_decomposition,
     save_matrix,
 )
+
+from conftest import set_term_entry, v1_doc
 
 
 def test_roundtrip_exact(tmp_path):
@@ -62,7 +66,7 @@ def test_roundtrip_rational(tmp_path):
     path = tmp_path / "q.json"
     save_decomposition(dec, path)
     doc = json.loads(path.read_text())
-    assert doc["scalar_kind"] == "rational" and doc["terms"][0]["a"] == ["1/1", "-1/3", "0/1", "5/7"]
+    assert doc["scalar_kind"] == "rational" and doc["rows"]["a"][doc["terms"][0][0]] == ["1/1", "-1/3", "0/1", "5/7"]
     back = load_decomposition(path)
     assert back.exact and (back.scheme, back.params) == ("exact-test", {"k": 1})
     for X, Y in zip((dec.U, dec.V, dec.W), (back.U, back.V, back.W)):
@@ -82,11 +86,16 @@ def test_file_shape(tmp_path):
     path = tmp_path / "d.json"
     save_decomposition(lattice_decomposition(simplex_frame(2)), path)
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert doc["n"] == 2
     assert doc["scheme"] == "lattice"
     assert len(doc["terms"]) == 7
-    assert set(doc["terms"][0]) == {"a", "b", "c"}
+    assert set(doc["rows"]) == {"a", "b", "c"}
+    assert all(len(t) == 3 and all(type(i) is int for i in t) for t in doc["terms"])
+    # the n = 3 lattice's 25 terms share 13 distinct factors per side
+    save_decomposition(lattice_decomposition(simplex_frame(3)), path)
+    doc = json.loads(path.read_text())
+    assert len(doc["terms"]) == 25 and [len(doc["rows"][s]) for s in "abc"] == [13, 13, 13]
 
 
 def test_rational_scalars_survive(tmp_path):
@@ -94,9 +103,17 @@ def test_rational_scalars_survive(tmp_path):
     save_decomposition(lattice_decomposition(simplex_frame(2)), path)
     doc = json.loads(path.read_text())
     if doc["scalar_kind"] == "rational":
-        flat = doc["terms"][0]["a"]
+        flat = doc["rows"]["a"][0]
         assert all(isinstance(s, str) for s in flat)
         Fraction(flat[0])  # parses
+
+
+def _term_rows(doc):
+    """Each side's factor rows in term order, read from a document of either
+    format_version."""
+    if doc["format_version"] == 1:
+        return {s: [t[s] for t in doc["terms"]] for s in "abc"}
+    return {s: [doc["rows"][s][t[k]] for t in doc["terms"]] for k, s in enumerate("abc")}
 
 
 def _per_entry_text(X):
@@ -121,13 +138,16 @@ def test_dump_stack_matches_per_entry_format(tmp_path, nprng):
     for Y in (X, Q):
         path = tmp_path / "d.json"
         save_decomposition(Decomposition(Y, Y[::-1].copy(), -Y), path)
-        terms = json.loads(path.read_text())["terms"]
+        terms = _term_rows(json.loads(path.read_text()))
         for s, Z in zip("abc", (Y, Y[::-1], -Y)):
-            assert [t[s] for t in terms] == _per_entry_text(Z)
-    assert terms[0]["a"] == ["1/3", "-2/1", "0/1", "5/7"] and terms[3]["a"] == ["1/1"] * 4
+            assert terms[s] == _per_entry_text(Z)
+    assert terms["a"][0] == ["1/3", "-2/1", "0/1", "5/7"] and terms["a"][3] == ["1/1"] * 4
     save_decomposition(Decomposition(X, X, X), path)
-    terms = json.loads(path.read_text())["terms"]
-    assert terms[0]["a"][:2] == ["0", "-0"] and terms[6]["a"][:2] == ["-0", "0"]
+    doc = json.loads(path.read_text())
+    terms = _term_rows(doc)
+    assert terms["a"][0][:2] == ["0", "-0"] and terms["a"][6][:2] == ["-0", "0"]
+    # each distinct factor is stored once; the flipped zeros make a factor of its own
+    assert [t[0] for t in doc["terms"]] == [0, 1, 0, 2, 3, 1, 4, 0] and len(doc["rows"]["a"]) == 5
 
 
 @pytest.mark.parametrize("name", ["lattice-7", "all-distinct"])
@@ -140,22 +160,58 @@ def test_saved_floats_match_per_entry_format(tmp_path, nprng, name):
         dec = Decomposition(*nprng.standard_normal((3, 337, 7, 7)))
     path = tmp_path / "d.json"
     save_decomposition(dec, path)
-    terms = json.loads(path.read_text())["terms"]
+    terms = _term_rows(json.loads(path.read_text()))
     for s, X in zip("abc", (dec.U, dec.V, dec.W)):
-        assert [t[s] for t in terms] == [[format(float(x), ".17g") for x in f.flat] for f in X]
+        assert terms[s] == [[format(float(x), ".17g") for x in f.flat] for f in X]
 
 
 def _json_doc(dec):
-    """The document a decomposition file holds, as json would encode it."""
-    a, b, c = (_per_entry_text(X) for X in (dec.U, dec.V, dec.W))
+    """The document a decomposition file holds: each side's distinct factors,
+    told apart by their float64 bytes or their Fraction values, in order of
+    first appearance, and each term's index triple."""
+    rows, index = {}, []
+    for s, X in zip("abc", (dec.U, dec.V, dec.W)):
+        keys = [tuple(f.flat) if dec.exact else f.astype(np.float64).tobytes() for f in X]
+        distinct = {}
+        for key, text in zip(keys, _per_entry_text(X)):
+            distinct.setdefault(key, (len(distinct), text))
+        rows[s] = [text for _, text in distinct.values()]
+        index.append([distinct[key][0] for key in keys])
     return {
-        "format_version": 1,
+        "format_version": 2,
         "n": dec.n,
         "scheme": dec.scheme,
         "params": dec.params,
         "scalar_kind": "rational" if dec.exact else "float64",
-        "terms": [{"a": x, "b": y, "c": z} for x, y, z in zip(a, b, c)],
+        "rows": rows,
+        "terms": [list(t) for t in zip(*index)],
     }
+
+
+def _json_text(doc):
+    """The documented layout of a format_version 2 file: json.dumps(doc,
+    indent=1), except that each row and each index triple stands on one line
+    as json.dumps writes it."""
+    lines = []
+
+    def one_line(x):
+        lines.append(json.dumps(x))
+        return f"\0{len(lines) - 1}"
+
+    rows = {s: [one_line(row) for row in side] for s, side in doc["rows"].items()}
+    text = json.dumps({**doc, "rows": rows, "terms": [one_line(t) for t in doc["terms"]]}, indent=1)
+    return re.sub(r'"\\u0000(\d+)"', lambda m: lines[int(m[1])], text)
+
+
+def _assert_same_stacks(dec, back):
+    """Stacks equal bit for bit (an int64 view, so -0.0 and 0.0 differ), or,
+    for Fraction stacks, in value and type."""
+    for X, Y in zip((dec.U, dec.V, dec.W), (back.U, back.V, back.W)):
+        assert X.shape == Y.shape and X.dtype == Y.dtype
+        if X.dtype == object:
+            assert X.tolist() == Y.tolist() and all(type(y) is Fraction for y in Y.flat)
+        else:
+            assert np.array_equal(X.view(np.int64), Y.view(np.int64))
 
 
 WRITER_CASES = {
@@ -178,21 +234,30 @@ WRITER_CASES = {
 
 @pytest.mark.parametrize("name", WRITER_CASES)
 def test_save_decomposition_bytes_equal_json_dumps(tmp_path, name):
+    # the saved bytes are the documented layout of the reference document;
+    # the file and its version 1 document load to the saved stacks bit for bit
     dec = WRITER_CASES[name]()
-    path = tmp_path / "d.json"
+    path, v1 = tmp_path / "d.json", tmp_path / "v1.json"
     save_decomposition(dec, path)
-    assert path.read_text() == json.dumps(_json_doc(dec), indent=1)
+    assert path.read_text() == _json_text(_json_doc(dec))
     if name == "rank-0":
-        assert '"terms": []' in path.read_text()
+        assert '"terms": []' in path.read_text() and '"a": []' in path.read_text()
+    v1.write_text(json.dumps(v1_doc(_json_doc(dec)), indent=1))
+    if name == "non-finite":
+        for p in (path, v1):
+            with pytest.raises(SchemaError, match=r"non-finite value \(inf\) at entry 0$"):
+                load_decomposition(p)
+        return
+    _assert_same_stacks(dec, load_decomposition(path))
+    _assert_same_stacks(dec, load_decomposition(v1))
 
 
 def _per_entry_stacks(path):
-    """The file's three stacks converted one entry at a time: the reference
-    for the loader, which converts each distinct factor row once."""
+    """The file's three stacks converted one entry at a time, term by term:
+    the reference for the loader, which converts each given row once."""
     doc = json.loads(path.read_text())
-    n, terms = doc["n"], doc["terms"]
-    for s in "abc":
-        rows = [t[s] for t in terms]
+    n = doc["n"]
+    for rows in _term_rows(doc).values():
         if doc["scalar_kind"] == "rational":
             yield np.array([Fraction(x) for row in rows for x in row], dtype=object).reshape(len(rows), n, n)
         else:
@@ -201,12 +266,7 @@ def _per_entry_stacks(path):
 
 def _assert_per_entry_load(path):
     dec = load_decomposition(path)
-    for X, R in zip((dec.U, dec.V, dec.W), _per_entry_stacks(path)):
-        assert X.shape == R.shape and X.dtype == R.dtype
-        if X.dtype == object:
-            assert X.tolist() == R.tolist() and all(type(x) is Fraction for x in X.flat)
-        else:
-            assert np.array_equal(X.view(np.int64), R.view(np.int64))
+    _assert_same_stacks(Decomposition(*_per_entry_stacks(path)), dec)
     return dec
 
 
@@ -233,14 +293,18 @@ SAVED_STACKS = {
 @pytest.mark.parametrize("name", [*GEN_ARGS, *SAVED_STACKS])
 def test_load_matches_per_entry_and_save_of_load_is_identity(tmp_path, name):
     # every file gen writes, and stacks with no repeated factor, repeated
-    # rational factors and no factor at all
-    path, again = tmp_path / "d.json", tmp_path / "again.json"
+    # rational factors and no factor at all; the file's version 1 document
+    # loads to the same stacks bit for bit
+    path, again, v1 = tmp_path / "d.json", tmp_path / "again.json", tmp_path / "v1.json"
     if name in GEN_ARGS:
         assert main(["gen", *GEN_ARGS[name], "-o", str(path)]) == 0
     else:
         save_decomposition(SAVED_STACKS[name](), path)
-    save_decomposition(_assert_per_entry_load(path), again)
+    dec = _assert_per_entry_load(path)
+    save_decomposition(dec, again)
     assert again.read_bytes() == path.read_bytes()
+    v1.write_text(json.dumps(v1_doc(json.loads(path.read_text())), indent=1))
+    _assert_same_stacks(dec, _assert_per_entry_load(v1))
 
 
 def _write_terms(path, kind, n, sides):
@@ -254,8 +318,8 @@ def _write_terms(path, kind, n, sides):
     [[0.0, -0.0, 0, 0, -0.0, "-0", "0", "-0.0", 0.0], ["0", "-0", "0", "0.0", "-0", "-0", "0", "-0.0", "0"]],
 )
 def test_loader_keeps_the_sign_of_zero_literals(tmp_path, zeros):
-    # as keys 0.0 == -0.0 == 0; a file of strings alone takes the
-    # distinct-row path, one with numbers converts every row
+    # as keys 0.0 == -0.0 == 0, so no two rows may share a conversion by
+    # value: a version 1 file converts every term's row
     rows = [[z, "1.5", "2", "3"] for z in zeros]
     path = tmp_path / "z.json"
     _write_terms(path, "float64", 2, [(r, rows[-1 - i], r) for i, r in enumerate(rows)])
@@ -268,7 +332,8 @@ def test_loader_keeps_the_sign_of_zero_literals(tmp_path, zeros):
 )
 @pytest.mark.parametrize("first, second", [(["1", "2,3", "4", "5"], ["1,2", "3", "4", "5"]), (["1,2", "3", "4", "5"], ["1", "2,3", "4", "5"])])
 def test_rows_of_one_key_are_refused_at_the_first(tmp_path, kind, message, first, second):
-    # both rows join to "1,2,3,4,5": the refusal names the first in file order
+    # two bad rows that differ only in where their "," stands: the refusal
+    # names the first in file order
     good = ["1", "2", "3", "4"]
     path = tmp_path / "bad.json"
     _write_terms(path, kind, 2, [(good, good, good), (good, first, good), (good, second, good), (good, first, good)])
@@ -291,8 +356,8 @@ def test_side_that_is_not_a_list_rejected(tmp_path, kind, side):
 
 @pytest.mark.parametrize("entry", ["inf", "-inf", "nan", math.inf, math.nan, None])
 def test_non_finite_refusal_names_the_file_entry(tmp_path, entry):
-    # the bad factor repeats, and its distinct row is not the first: the
-    # message still names its first entry in file order
+    # the bad factor repeats and is not the first: the message names its
+    # first entry in file order
     good, bad = ["1", "2", "3", "4"], ["1", "2", entry, "4"]
     path = tmp_path / "bad.json"
     _write_terms(path, "float64", 2, [(good, good, good)] * 2 + [(good, bad, good), (good, good, good), (good, bad, good)])
@@ -370,11 +435,16 @@ LOADER_HOLES = {
 
 
 def _holed_orbit_file(path, case):
-    """The n=2 orbit file with one field, or term 0's a side, replaced as in LOADER_HOLES."""
+    """The n=2 orbit file with one field, or term 0's a side, replaced as in
+    LOADER_HOLES; a new side is appended to the a rows and term 0 repointed."""
     save_decomposition(orbit_decomposition(orbit_spec_for(2)), path)
     doc = json.loads(path.read_text())
     field, value, _ = LOADER_HOLES[case]
-    (doc["terms"][0] if field == "a" else doc)[field] = value
+    if field == "a":
+        doc["rows"]["a"].append(value)
+        doc["terms"][0][0] = len(doc["rows"]["a"]) - 1
+    else:
+        doc[field] = value
     path.write_text(json.dumps(doc))
     return path
 
@@ -392,6 +462,84 @@ def test_verify_exits_2_on_loader_holes(tmp_path, capsys, case):
     assert main(["verify", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"error: {LOADER_HOLES[case][2]}\n"
+
+
+TRIPLE = "a term must be a list of 3 integer row indices, got {!r}"
+DELETE = object()
+
+# version 2 files a loader must refuse: (scalar kind, path to the replaced
+# node, its new value or DELETE, message); the n = 2 orbit has 7 rows per side
+V2_HOLES = {
+    "index-float": ("float64", ("terms", 1), [1, 1.0, 1], TRIPLE.format([1, 1.0, 1])),
+    "index-true": ("float64", ("terms", 1), [1, True, 1], TRIPLE.format([1, True, 1])),
+    "index-string": ("float64", ("terms", 1), [1, "1", 1], TRIPLE.format([1, "1", 1])),
+    "index-negative": ("float64", ("terms", 1), [1, -1, 1], "row index -1 is outside the side's 7 rows"),
+    "index-past-rows": ("float64", ("terms", 1), [1, 1, 7], "row index 7 is outside the side's 7 rows"),
+    "index-beyond-int64": (
+        "float64", ("terms", 1, 0), 10**400, "malformed decomposition file: Python int too large to convert to C long"
+    ),
+    "triple-of-2": ("float64", ("terms", 1), [1, 1], TRIPLE.format([1, 1])),
+    "triple-of-4": ("float64", ("terms", 1), [1, 1, 1, 1], TRIPLE.format([1, 1, 1, 1])),
+    "triple-string": ("float64", ("terms", 1), "111", TRIPLE.format("111")),
+    "side-missing": ("float64", ("rows", "b"), DELETE, "malformed decomposition file: 'b'"),
+    "side-object": ("float64", ("rows", "c"), {}, "malformed decomposition file: rows must be a list, got dict"),
+    "rows-list": ("float64", ("rows",), [], "malformed decomposition file: list indices must be integers or slices, not str"),
+    "row-short": ("float64", ("rows", "a", 0), ["1", "0", "0"], "matrix has 3 entries, expected 4"),
+    "row-long": ("rational", ("rows", "c", 1), ["1/1"] * 5, "matrix has 5 entries, expected 4"),
+    "float64-bool": ("float64", ("rows", "b", 2, 3), False, "float64 entries must be decimal strings or numbers, got False"),
+    "rational-bool": ("rational", ("rows", "a", 0, 1), True, "rational entries must be 'p/q' strings, got True"),
+    "rational-float": ("rational", ("rows", "a", 0, 1), 0.5, "rational entries must be 'p/q' strings, got 0.5"),
+    "rational-int": ("rational", ("rows", "b", 1, 0), 1, "rational entries must be 'p/q' strings, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", V2_HOLES)
+def test_v2_holes_exit_2_with_a_schema_error(tmp_path, capsys, case):
+    kind, where, value, message = V2_HOLES[case]
+    path = tmp_path / "bad.json"
+    save_decomposition(orbit_decomposition(orbit_spec_for(2)) if kind == "float64" else _rational_dec(), path)
+    doc = json.loads(path.read_text())
+    *parents, last = where
+    holder = functools.reduce(operator.getitem, parents, doc)
+    if value is DELETE:
+        del holder[last]
+    else:
+        holder[last] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=re.escape(message) + "$"):
+        load_decomposition(path)
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+def test_v2_rows_keep_the_sign_of_zero(tmp_path):
+    # "0", "-0", 0 and -0.0 are distinct rows; the terms take them in reverse
+    zeros = ["0", "-0", 0, -0.0, "-0.0", 0.0]
+    rows = [[z, "1.5", "2", "3"] for z in zeros]
+    terms = [[i, 5 - i, i] for i in range(6)]
+    doc = {"format_version": 2, "n": 2, "scalar_kind": "float64", "rows": {"a": rows, "b": rows, "c": rows}, "terms": terms}
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(doc))
+    dec = _assert_per_entry_load(path)
+    assert np.signbit(dec.U[:, 0, 0]).tolist() == [False, True, False, True, True, False]
+    assert np.signbit(dec.V[:, 0, 0]).tolist() == [False, True, True, False, True, False]
+
+
+def test_set_term_entry_changes_one_term(tmp_path):
+    # the test helper that edits a file: the n = 3 lattice's term 1 shares
+    # its a row with other terms, and only term 1's stack entry moves
+    path = tmp_path / "d.json"
+    save_decomposition(lattice_decomposition(simplex_frame(3)), path)
+    before = load_decomposition(path)
+    doc = json.loads(path.read_text())
+    assert sum(t[0] == doc["terms"][1][0] for t in doc["terms"]) > 1
+    set_term_entry(doc, 1, "a", 0, "5.0")
+    path.write_text(json.dumps(doc))
+    after = load_decomposition(path)
+    changed = [np.flatnonzero((X != Y).reshape(len(X), -1).any(1)).tolist() for X, Y in zip(
+        (before.U, before.V, before.W), (after.U, after.V, after.W))]
+    assert changed == [[1], [], []] and after.U[1, 0, 0] == 5.0
 
 
 def test_truncated_file_rejected(tmp_path):
@@ -426,7 +574,8 @@ def test_wrong_matrix_length_rejected(tmp_path):
     good = tmp_path / "good.json"
     save_decomposition(lattice_decomposition(simplex_frame(2)), good)
     doc = json.loads(good.read_text())
-    doc["terms"][0]["a"] = doc["terms"][0]["a"][:-1]
+    doc["rows"]["a"].append(doc["rows"]["a"][doc["terms"][0][0]][:-1])
+    doc["terms"][0][0] = len(doc["rows"]["a"]) - 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):

@@ -304,6 +304,44 @@ def test_invariants_report_lattice():
     assert rep.factor_ranks[0] == (3, 3, 3)  # identity term leads
 
 
+def _rational_repeats():
+    """A Fraction decomposition whose 6 terms share 4 distinct factors per
+    side, of ranks 3 (twice), 1 and 0."""
+    rng = random.Random(5)
+    full, other = random_exact_matrix(rng, 3), random_exact_matrix(rng, 3)
+    one = np.outer([Fraction(1, 2), Fraction(-3), Fraction(2, 7)], [Fraction(1), Fraction(0), Fraction(5, 3)])
+    zero = np.full((3, 3), Fraction(0), dtype=object)
+    U = np.array([full, other, full, one, zero, other], dtype=object)
+    return Decomposition(U, U[::-1].copy(), -U)
+
+
+@pytest.mark.parametrize(
+    "make, distinct",
+    [
+        (lambda: lattice_decomposition(simplex_frame(7)), 57),
+        (lambda: orbit_decomposition(orbit_spec_for(4)), 61),  # 21 rows up to round-off, which must stay apart
+        (_rational_repeats, 4),
+    ],
+    ids=["lattice-7", "orbit-4", "rational"],
+)
+def test_factor_ranks_take_one_svd_per_distinct_factor(monkeypatch, make, distinct):
+    # equal to the per-term matrix_rank, from one batch of the distinct factors per side
+    dec = make()
+    f = dec.to_float()
+    per_term = tuple(zip(*(np.linalg.matrix_rank(X, tol=1e-9).tolist() for X in (f.U, f.V, f.W))))
+    real, batches = np.linalg.matrix_rank, []
+
+    def counted(X, tol):
+        batches.append(len(X))
+        return real(X, tol=tol)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+    assert invariants_report(dec).factor_ranks == per_term
+    assert batches == [distinct] * 3
+    if dec.exact:
+        assert per_term[:5] == ((3, 3, 3), (3, 0, 3), (3, 1, 3), (1, 3, 1), (0, 3, 0))
+
+
 def test_invariants_report_lines():
     rep = invariants_report(lattice_decomposition(simplex_frame(2)))
     text = "\n".join(rep.lines())
