@@ -9,8 +9,8 @@ Recursion replaces the scalar inner products by block-weighted sums and
 switches to the plain product at or below the cutoff size.  Scalar
 multiplication counts are exact: only the multiplications of the base-case
 products are counted, summed over the leaves that run.  _plan works out
-the executor's shape once (padding, depth, count law, A-side groups, batch
-and workspace).  There is one executor, multiply_recursive; multiply_via is its
+the executor's shape once (padding, depth, count law, A-side groups and
+workspace).  There is one executor, multiply_recursive; multiply_via is its
 one-level case (cutoff 1 at the decomposition's own size).
 
 multiply_recursive refuses (RefusedInput) matrices not square and of one
@@ -22,24 +22,19 @@ non-float64 A is copied once, to float64).  Each node overwrites its B
 operand with the product, its n*n sub-blocks a stack in the recursive block
 layout (index digits ordered i0, j0, i1, j1, ..., row, col).  Below the top
 node every stack is contiguous; the top node reads A and B and writes C
-through one panel view (_a_panels), a column panel at a time through a
-small buffer, whatever the strides.  One GEMM of the B-side factors with B's
-stack forms all rank B sides, after which B's blocks are free to take the A
-sides, a group at a time, and the children's stacks.  The leaf parent's
-stack has one slack block ahead of its rank B sides, so leaf t writes its
-product (np.matmul) straight into block t, the B side of term t - 1, used
-by then.  With small leaves that depth-first walk spends its time in Python,
-a call per node and per leaf, so a batched plan runs its bottom two levels
-breadth-first: the node two levels above the leaves forms its children's A
-sides with one GEMM, and its grandchildren's B sides, A sides and leaf
-products and its children's products with one batched np.matmul each, in
-the batch region T.  One GEMM of the C-side factors with the finished stack
-writes each C block once.  These GEMMs have an inner dimension of n*n or
-rank and rows of up to p^2/n^2 entries, so they are bound by memory
-bandwidth; each runs in column panels of at most PANEL, on which BLAS runs
-them up to about twice as fast.  A padded result is cropped to a copy once
-the workspace is freed.  The factor rows come straight from the
-decomposition's stacks U, V and W (transposed for c^T).
+through one panel view (_a_panels), a column panel at a time, whatever the
+strides.  One GEMM of the B-side factors with B's stack forms all rank B
+sides, after which B's blocks are free to take the A sides, a group at a
+time, and the children's stacks; the children run depth-first, one after
+another.  The leaf parent's stack has one slack block ahead of its rank B
+sides, so leaf t writes its product (np.matmul) straight into block t, the
+B side of term t - 1, used by then.  One GEMM of the C-side factors with
+the finished stack writes each C block once.  These GEMMs have an inner
+dimension of n*n or rank and rows of up to p^2/n^2 entries, so they are
+bound by memory bandwidth; each runs in column panels of at most PANEL, on
+which BLAS runs them up to about twice as fast.  A padded result is cropped
+to a copy once the workspace is freed.  The factor rows come straight from
+the decomposition's stacks U, V and W (transposed for c^T).
 """
 
 from __future__ import annotations
@@ -65,7 +60,6 @@ __all__ = [
 ]
 
 PANEL = 8192  # columns per panel of a block-combination GEMM
-BATCH = 2**18  # most entries of a batched node's buffers (see _plan)
 
 
 def naive_multiply(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -100,7 +94,7 @@ class MulReport:
     recursion_depth: int
 
 
-_Plan = namedtuple("_Plan", "n padded depth leaf count spill groups batch workspace")
+_Plan = namedtuple("_Plan", "n padded depth leaf count spill groups workspace")
 
 
 def _plan(n: int, rank: int, size: int, cutoff: int) -> _Plan:
@@ -118,30 +112,19 @@ def _plan(n: int, rank: int, size: int, cutoff: int) -> _Plan:
     (the node whose children are leaves) and when the stacks spill (below);
     otherwise n^2 - ceil((rank+1)/n^2) (g = 2, 6, 12 for the n = 2, 3, 4
     schemes of rank n^3 - n + 1), the rest holding the children's stacks.
-    The batch rule: at depth >= 3 the bottom two levels run breadth-first
-    when the buffers of the node two levels above the leaves fit BATCH
-    entries: its children's A sides, rank*n^2*leaf^2 entries, and its
-    grandchildren's A sides, B sides and products, 3*rank^2*leaf^2 (`batch`,
-    0 when the plan is not batched).  Such a node forms all rank A sides of
-    its children in one GEMM (its g is rank), and its children, the leaf
-    parents, do not run, so `groups` has an entry for each level that runs.
-    The top node, which reads through its panels, is never batched.  BATCH
-    bounds the memory batching adds to 2 MiB: within it every shape measured
-    ran faster batched, while past it the n = 2 orbit's 64 x 64 leaves ran
-    slower.
 
     A level's stack is rank blocks of (p/n^(level+1))^2, rank + 1 at the
     leaf parent.  A child's stack fits in its parent's n^2 - 1 free blocks
     when rank + 1 <= n^2(n^2-1), as for every scheme of rank <= n^3, so the
     `workspace` S is the top node's stack; above that the stacks `spill`:
-    those of all running levels follow one another in S.  A batched plan's
-    batch region T ends S.  So one product's temporaries peak at p^2 +
-    rank*(p/n)^2 + batch + min(n^2*PANEL, (p/n)^2) entries: Y (B's copy,
-    the top node's free blocks, then C), S, and the buffer of one panel; at
-    depth 1, where the top node is the leaf parent, S has rank + 1 blocks of
-    (p/n)^2.  That is 2.75 p^2 and a little more for the n = 2 orbit at
-    depth >= 2, at most BATCH entries more when batched, and a padded A
-    adds its p^2 copy.  A depth-0 product holds only its size^2 result.
+    those of all levels follow one another in S.  So one product's
+    temporaries peak at p^2 + rank*(p/n)^2 + min(n^2*PANEL, (p/n)^2)
+    entries: Y (B's copy, the top node's free blocks, then C, the result),
+    S (the stacks), and numpy's temporary of one top-node panel; at depth 1,
+    where the top node is the leaf parent, S has rank + 1 blocks of (p/n)^2.
+    That is 2.75 p^2 and a little more for the n = 2 orbit at depth >= 2,
+    and a padded A adds its p^2 copy.  A depth-0 product holds only its
+    size^2 result.
     """
     if cutoff < 1:
         raise RefusedInput("cutoff must be >= 1")
@@ -157,26 +140,19 @@ def _plan(n: int, rank: int, size: int, cutoff: int) -> _Plan:
         depth += 1
     nn = n * n
     spill = rank + 1 > nn * (nn - 1)
-    batch = rank * leaf**2 * (nn + 3 * rank)
-    batch = batch if depth >= 3 and batch <= BATCH else 0
-    levels = depth - 1 if batch else depth  # the levels whose nodes run
-    groups = tuple(
-        rank if batch and level == depth - 2 else nn if spill or level == depth - 1 else nn + (-(rank + 1) // nn)
-        for level in range(levels)
-    )
-    stacks = [(rank + (level == depth - 1)) * (padded // n ** (level + 1)) ** 2 for level in range(levels)]
-    workspace = sum(stacks if spill else stacks[:1]) + batch
-    return _Plan(n, padded, depth, leaf, rank**depth * leaf**3, spill, groups, batch, workspace)
+    groups = tuple(nn if spill or level == depth - 1 else nn + (-(rank + 1) // nn) for level in range(depth))
+    stacks = [(rank + (level == depth - 1)) * (padded // n ** (level + 1)) ** 2 for level in range(depth)]
+    return _Plan(n, padded, depth, leaf, rank**depth * leaf**3, spill, groups, sum(stacks if spill else stacks[:1]))
 
 
 def _a_panels(M: np.ndarray, plan: _Plan) -> list[np.ndarray]:
     """The top node's stack of a padded p x p matrix M (A, or Y for B and
     C), (n*n, (p/n)^2) in block layout, as column panels that are views of
     M: each a slice of one digit axis, whole in every later axis, of at
-    most PANEL and at most (p/n)^2/n^2 columns, so the buffer that stages a
-    panel never holds more than (p/n)^2 entries.  When a leaf has fewer
-    entries than that limit a panel spans whole groups of leaves, so each
-    copy and GEMM still moves a large panel."""
+    most PANEL and at most (p/n)^2/n^2 columns, so the temporary in which
+    numpy stages a panel never holds more than (p/n)^2 entries.  When a
+    leaf has fewer entries than that limit a panel spans whole groups of
+    leaves, so each copy and GEMM still moves a large panel."""
     digits = (plan.n,) * plan.depth + (plan.leaf,)  # M reshaped to (i0, ..., row, j0, ..., col)
     order = [a for k in range(plan.depth + 1) for a in (k, plan.depth + 1 + k)]
     view = M.reshape(digits + digits).transpose(order)  # (i0, j0, ..., row, col)
@@ -212,30 +188,24 @@ def _panels(M, src, dst) -> None:
 
 
 def _gather(M, panels, dst) -> None:
-    """dst := M @ src, src given by its column panels (see _a_panels): each
-    is copied into one small buffer and multiplied from there."""
+    """dst := M @ src, src given by its column panels (see _a_panels): numpy
+    stages each panel in a temporary, as it reshapes it to n*n rows."""
     nn = M.shape[1]
-    buf = np.empty(panels[0].size)  # the first panel is a widest one
     c = 0
     for view in panels:
         w = view.size // nn
-        G = buf[: view.size]
-        np.copyto(G.reshape(view.shape), view)
-        np.matmul(M, G.reshape(nn, w), out=dst[:, c : c + w])
+        np.matmul(M, view.reshape(nn, w), out=dst[:, c : c + w])
         c += w
 
 
 def _scatter(M, src, panels) -> None:
     """The mirror of _gather: dst := M @ src, dst given by its column
-    panels, each multiplied into one small buffer and copied out from it."""
+    panels, each assigned from the product of one panel of src."""
     nn = M.shape[0]
-    buf = np.empty(panels[0].size)
     c = 0
     for view in panels:
         w = view.size // nn
-        G = buf[: view.size]
-        np.matmul(M, src[:, c : c + w], out=G.reshape(nn, w))
-        np.copyto(view, G.reshape(view.shape))
+        view[...] = (M @ src[:, c : c + w]).reshape(view.shape)
         c += w
 
 
@@ -244,8 +214,8 @@ def _node(X, Y, S, level, plan, code) -> int:
     returns the number of leaf products made.  X is flat in block layout
     too, except at the top node (level 0), where X and Y are the padded A
     and B, row-major and seen through column panels (see _a_panels).  code
-    holds the factor rows and the batch region T."""
-    U, V, Wt, T = code
+    holds the factor rows."""
+    U, V, Wt = code
     rank, nn = V.shape
     Ys = Y.reshape(nn, -1)
     hh = Ys.shape[1]
@@ -256,17 +226,6 @@ def _node(X, Y, S, level, plan, code) -> int:
     else:
         read, write, Xs, Yp = _gather, _scatter, _a_panels(X, plan), _a_panels(Y, plan)
     read(V, Yp, Sx[slack:])  # every term's B side; Y's blocks are free from here
-    if plan.batch and level == plan.depth - 2:  # the bottom two levels, breadth-first in T
-        A1 = T[: rank * hh].reshape(rank, nn, -1)  # the children's A sides
-        B2, A2, P2 = T[rank * hh :].reshape(3, rank, rank, -1)  # the grandchildren's sides and products
-        read(U, Xs, A1.reshape(rank, hh))
-        np.matmul(V, Sx.reshape(rank, nn, -1), out=B2)
-        np.matmul(U, A1, out=A2)
-        tiles = (-1, plan.leaf, plan.leaf)
-        np.matmul(A2.reshape(tiles), B2.reshape(tiles), out=P2.reshape(tiles))
-        np.matmul(Wt, P2, out=Sx.reshape(rank, nn, -1))  # each child's product, in its block of the stack
-        write(Wt, Sx, Yp)
-        return rank * rank
     g = plan.groups[level]  # blocks no child stack takes
     child = S[rank * hh :] if plan.spill else Ys[g:].reshape(-1)
     L = Sx.reshape(-1, plan.leaf, plan.leaf)  # the leaf parent's stack as leaf x leaf blocks
@@ -300,9 +259,8 @@ def multiply_recursive(
     if depth:
         A = np.asarray(A, dtype=np.float64) if padded == size else np.pad(np.asarray(A, dtype=np.float64), (0, padded - size))
         Y = np.pad(np.ascontiguousarray(B, dtype=np.float64), (0, padded - size))
-        S = np.empty(plan.workspace)  # the stacks, then the batch region T
-        leaves = _node(A, Y.reshape(-1), S, 0, plan, (*_compile(dec), S[S.size - plan.batch :]))
-        del A, S  # any converted copy of A and the workspace, freed before cropping
+        leaves = _node(A, Y.reshape(-1), np.empty(plan.workspace), 0, plan, _compile(dec))
+        del A  # any converted copy of A, freed with the workspace before cropping
         result = Y if padded == size else Y[:size, :size].copy()
     else:  # the plain product, on the inputs as given
         result, leaves = np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64), 1

@@ -252,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("file")
     m.add_argument("a_file")
     m.add_argument("b_file")
-    m.add_argument("--cutoff", type=int, default=16)
+    m.add_argument("--cutoff", type=int, default=4096)
     m.add_argument("--output", "-o", required=True)
     m.set_defaults(func=_multiply)
 
     b = sub.add_parser("bench", help="benchmark recursive multiplication")
     b.add_argument("file")
     b.add_argument("--sizes", required=True, help="comma-separated sizes")
-    b.add_argument("--cutoff", type=int, default=16)
+    b.add_argument("--cutoff", type=int, default=4096)
     b.add_argument("--json", action="store_true")
     b.set_defaults(func=_bench)
     return p

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from orbitmm.bilinear import (
-    BATCH,
     PANEL,
     _plan,
     benchmark,
@@ -200,10 +199,8 @@ def test_recursive_refuses_complex_input(side, monkeypatch):
 # orbit2 at 384 (padded to 512) and lattice3 at 729 have top blocks of 65536
 # and 59049 entries, so their combination GEMMs run in several column panels
 # of PANEL = 8192, lattice3's last one ragged; lattice4 at 256 runs 61 terms in A-side groups
-# of 12, the last group of one.  At depth >= 3 the bottom two levels run
-# batched (see test_batch_budget) at orbit2's 17/4, 8/1, 256/16 and 200/16,
-# lattice3's 17/1 and 243/9 and rank13's two shapes; orbit2 at 384/64 and
-# rank9 at 256/32 are past the budget and run depth-first.
+# of 12, the last group of one.  orbit2's 256/16 and 200/16, lattice3's
+# 243/9 and 17/1 and rank13's two shapes run small leaves at depth 3 or 4.
 EXECUTOR_CASES = {
     "orbit2": [
         (1, 1, 0), (4, 4, 0), (5, 8, 0), (5, 4, 1), (10, 4, 2), (17, 4, 3), (8, 1, 3), (384, 64, 3), (256, 16, 4),
@@ -271,9 +268,7 @@ def test_recursive_matches_reference(name, kind, nprng):
 
 # (size, cutoff, depth): depths 0 to 6, padded and unpadded sizes; the
 # rank-12 scheme stops at depth 5, as its 12^6 leaves at depth 6 take
-# seconds a product.  Every depth >= 3 runs its bottom two levels batched,
-# except 256/32 for rank 12 (480 * 32^2 entries, past BATCH; naive2 there
-# needs 224 * 32^2, within it)
+# seconds a product.
 EXACT_CASES = [
     (200, 256, 0), (5, 4, 1), (8, 2, 2), (6, 2, 2), (8, 1, 3), (37, 4, 4), (100, 8, 4), (32, 1, 5), (256, 16, 4),
     (200, 16, 4), (256, 32, 3),
@@ -306,10 +301,7 @@ def test_recursive_exact_on_integer_floats(name, nprng):
 # parent's stack has one slack block): g = 2, 6, 12 for the n = 2, 3, 4
 # schemes of rank n^3 - n + 1 and 1 for rank 8, which n^2 divides.  The leaf
 # parent, and every node of ranks 12 and 13, whose stacks spill into the
-# workspace, fill all n^2 blocks.  A batched node (two levels above the
-# leaves, in a plan of depth >= 3 within BATCH; all but the first three
-# cases here) forms its children's rank A sides in one pass, and its
-# grandchildren's come from one batched matmul, so its children make none.
+# workspace, fill all n^2 blocks.
 @pytest.mark.parametrize("name,pairs,size,cutoff,g", [
     ("orbit2", 0, 512, 64, 2), ("naive2", 0, 512, 64, 1), ("lattice4", 0, 64, 4, 12),
     ("orbit2", 0, 8, 1, 2), ("orbit2", 0, 16, 1, 2), ("lattice3", 0, 27, 1, 6),
@@ -339,14 +331,10 @@ def test_a_side_passes(name, pairs, size, cutoff, g, monkeypatch, nprng):
     n, rank, depth, p = dec.n, dec.rank, rep.recursion_depth, 1
     while p < size:
         p *= n
-    batched = depth >= 3 and rank * (p // n**depth) ** 2 * (n * n + 3 * rank) <= BATCH
     groups = [n * n if level == depth - 1 else g for level in range(depth)]
-    if batched:  # the leaf parents do not run; their parents take all rank A sides at once
-        groups[-2:] = [rank]
     assert list(_plan(n, rank, size, cutoff).groups) == groups
-    assert batched == ((name, size) not in {("orbit2", 512), ("naive2", 512), ("lattice4", 64)})
     assert passes == {
-        (p // n ** (level + 1)) ** 2: rank**level * math.ceil(rank / groups[level]) for level in range(len(groups))
+        (p // n ** (level + 1)) ** 2: rank**level * math.ceil(rank / groups[level]) for level in range(depth)
     }
 
 
@@ -395,16 +383,15 @@ def test_recursive_transposed_b(size, cutoff, nprng):
 
 def _peak_within_law(dec, A, B, cutoff):
     """Run one product under tracemalloc and check its peak against the
-    law: the p x p copy of B that becomes the result, the workspace and the
-    buffer that stages one column panel of the top node's A, B or C, n^2
+    law: the p x p copy of B that becomes the result, the workspace and
+    numpy's temporary of one column panel of the top node's A, B or C, n^2
     rows of at most PANEL and (p/n)^2/n^2 entries.  The workspace is the top
     node's stack of rank (p/n)^2 entries (rank + 1 blocks at depth 1, where
     the top node is the leaf parent), every child's stack living in its
-    parent's free blocks, or when the stacks spill, every level's stack;
-    and in a batched plan, the batch region of rank * leaf^2 * (n^2 +
-    3 rank) entries.  A size that is not a power of n adds one p^2: A is
-    copied once, padded, since the top node's panels are views of a p x p
-    matrix.  The product must also match A @ B and the count law."""
+    parent's free blocks, or when the stacks spill, every level's stack.  A
+    size that is not a power of n adds one p^2: A is copied once, padded,
+    since the top node's panels are views of a p x p matrix.  The product
+    must also match A @ B and the count law."""
     multiply_recursive(dec, A, B, cutoff=cutoff)  # warm up numpy's caches
     tracemalloc.start()
     try:
@@ -419,23 +406,20 @@ def _peak_within_law(dec, A, B, cutoff):
     assert depth >= 1 and rep.scalar_multiplications == predicted_mult_count(n, rank, size, cutoff)
     assert np.abs(rep.result - A @ B).max() <= 1e-12 * float(np.abs(A @ B).max())
     copies = 1 if p == size else 2
-    leaf = p // n**depth
-    batch = rank * leaf**2 * (n * n + 3 * rank)
-    batch = batch if depth >= 3 and batch <= BATCH else 0
-    levels = depth - 1 if batch else depth  # the levels whose nodes run
-    stacks = [(rank + (level == depth - 1)) * (p // n ** (level + 1)) ** 2 for level in range(levels)]
-    workspace = (sum(stacks) if rank + 1 > n**2 * (n**2 - 1) else stacks[0]) + batch
+    stacks = [(rank + (level == depth - 1)) * (p // n ** (level + 1)) ** 2 for level in range(depth)]
+    workspace = sum(stacks) if rank + 1 > n**2 * (n**2 - 1) else stacks[0]
     assert workspace == _plan(n, rank, size, cutoff).workspace
     assert peak <= 8 * (copies * p**2 + workspace + min(n**2 * PANEL, (p // n) ** 2)) + 64 * 1024
 
 
-# past the budget: orbit2 at 512/64 and rank9 at 256/32; batched: orbit2 at
-# 256/16 and 200/16, lattice3 at 243/9, lattice4 at 256/4 and rank13 (spilling)
-# at 256/16
+# small leaves at depth 3 or 4: orbit2 at 256/16 and 200/16, lattice3 at
+# 243/9, lattice4 at 256/4 and rank13 (spilling) at 256/16; top-node panels
+# that are ragged (lattice3 at 729/81) or padded (orbit2 at 384/64)
 @pytest.mark.parametrize("name,size,cutoff", [
     ("orbit2", 512, 64), ("lattice3", 243, 27), ("lattice3", 729, 27), ("orbit2", 500, 64), ("lattice3", 244, 27),
     ("naive2", 512, 64), ("orbit2", 512, 256), ("lattice3", 243, 81), ("orbit2", 256, 16), ("orbit2", 200, 16),
-    ("lattice3", 243, 9), ("lattice4", 256, 4), ("rank13", 256, 16), ("rank9", 256, 32),
+    ("lattice3", 243, 9), ("lattice4", 256, 4), ("rank13", 256, 16), ("rank9", 256, 32), ("lattice3", 729, 81),
+    ("orbit2", 384, 64),
 ])
 def test_recursive_peak_memory(name, size, cutoff, nprng):
     # a copy of A would exceed the law at every unpadded size here
@@ -499,38 +483,17 @@ def test_recursive_rank_above_free_blocks(nprng):
 
 def test_spilling_workspace_holds_every_level():
     # rank 13 pads 40 to p = 64 and 512 to itself; its stacks spill, so S
-    # holds every running level's stack, rank * (p / n^(level + 1))^2
-    # entries (rank + 1 blocks at the leaf parent).  At 40/8 (leaf 8) the
-    # bottom two levels run batched: level 1 is the last that runs, and the
-    # batch region of rank * leaf^2 * (n^2 + 3 rank) entries follows.  At
-    # 512/64 (leaf 64) the batch region would be 13 * 43 * 64^2 > BATCH
+    # holds every level's stack, rank * (p / n^(level + 1))^2 entries
+    # (rank + 1 blocks at the leaf parent).  Rank 7 does not spill: S is the
+    # top node's stack alone, as in mul-strassen's 2048/256
     n, rank = 2, 13
     plan = _plan(n, rank, 40, 8)
     assert plan.spill and (plan.padded, plan.depth, plan.leaf) == (64, 3, 8)
-    assert plan.batch == 13 * 8**2 * (4 + 39) == 35776
-    assert plan.workspace == 13 * 32**2 + 13 * 16**2 + plan.batch
+    assert plan.workspace == 13 * 32**2 + 13 * 16**2 + 14 * 8**2
     plan = _plan(n, rank, 512, 64)
-    assert plan.spill and (plan.padded, plan.depth, plan.batch) == (512, 3, 0)
+    assert plan.spill and (plan.padded, plan.depth) == (512, 3)
     assert plan.workspace == 13 * 256**2 + 13 * 128**2 + 14 * 64**2
-
-
-def test_batch_budget():
-    # a plan of depth >= 3 runs its bottom two levels batched when the
-    # batched node's buffers fit BATCH: its children's A sides, rank * n^2
-    # leaf^2 entries, and its grandchildren's A sides, B sides and
-    # products, 3 rank^2 leaf^2
-    def batch(n, rank, leaf):
-        return rank * n * n * leaf**2 + 3 * rank**2 * leaf**2
-
-    assert _plan(2, 7, 256, 16).batch == batch(2, 7, 16) == 44800
-    assert _plan(2, 7, 200, 16).batch == 44800
-    assert _plan(3, 25, 243, 9).batch == batch(3, 25, 9) == 170100
-    assert _plan(4, 61, 256, 4).batch == batch(4, 61, 4) == 194224
-    assert _plan(2, 8, 256, 32).batch == batch(2, 8, 32) == 229376 <= BATCH  # naive2, just within
-    assert _plan(2, 9, 256, 32).batch == 0 < BATCH < batch(2, 9, 32)  # rank9, just past
-    assert _plan(2, 7, 64, 16).batch == 0  # depth 2: the top node is never batched
-    # mul-strassen's product runs depth-first: 11.5 M entries are far past BATCH
-    assert _plan(2, 7, 2048, 256).batch == 0 < BATCH < batch(2, 7, 256)
+    assert _plan(2, 7, 2048, 256) == (2, 2048, 3, 256, 7**3 * 256**3, False, (2, 2, 4), 7 * 1024**2)
 
 
 @pytest.mark.parametrize("rank", [8, 12])

@@ -524,6 +524,34 @@ def test_multiply_end_to_end(tmp_path, capsys, nprng):
         assert np.abs(load_matrix(fc) - A @ B).max() < 1e-9
 
 
+def test_default_cutoff_runs_the_plain_product(tmp_path, capsys, monkeypatch, nprng):
+    # without --cutoff, multiply and bench run A @ B on the inputs as given
+    # (depth 0, size^3 multiplications); --cutoff 16 still recurses, 300
+    # padded to 512 and split 5 times
+    dec = gen_lattice(tmp_path, capsys)
+    fa, fb, fc = (str(tmp_path / x) for x in ("a.txt", "b.txt", "c.txt"))
+    save_matrix(nprng.standard_normal((300, 300)), fa)
+    save_matrix(nprng.standard_normal((300, 300)), fb)
+    AB = load_matrix(fa) @ load_matrix(fb)
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(orbitmm.multiply_recursive(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(orbitmm.cli, "multiply_recursive", recorded)
+    law = functools.partial(orbitmm.predicted_mult_count, 2, 7, cutoff=16)
+    assert run(capsys, "multiply", str(dec), fa, fb, "-o", fc)[0] == 0
+    assert (reports[-1].recursion_depth, reports[-1].scalar_multiplications) == (0, 300**3)
+    assert np.array_equal(load_matrix(fc), AB)
+    assert run(capsys, "multiply", str(dec), fa, fb, "--cutoff", "16", "-o", fc)[0] == 0
+    assert (reports[-1].recursion_depth, reports[-1].scalar_multiplications) == (5, law(300))
+    assert np.abs(load_matrix(fc) - AB).max() <= 1e-12 * np.abs(AB).max()
+    for extra, counts in (([], [64**3, 300**3]), (["--cutoff", "16"], [law(64), law(300)])):
+        code, out, _ = run(capsys, "bench", str(dec), "--sizes", "64,300", *extra, "--json")
+        assert code == 0 and [r["scalar_multiplications"] for r in json.loads(out)] == counts
+
+
 def test_multiply_non_finite_matrix_exits_2(tmp_path, capsys):
     dec = gen_lattice(tmp_path, capsys)
     fa = tmp_path / "a.txt"
