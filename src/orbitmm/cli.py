@@ -39,6 +39,8 @@ SCHEMES = ("lattice", "orbit", "strassen-theta", "s4-family")
 BUILTINS = ("strassen", "s4-first", "s4-second", "s5")
 # (which, sign, theta) of the two named n=3 seeds
 S4_BUILTINS = {"s4-first": ("u", -1, 0.0), "s4-second": ("v", -1, math.pi / 2)}
+# multiply's and bench's default --cutoff: no recursion depth beat A @ B up to 4096^2
+CROSSOVER = 4096
 
 
 def _theta_from_args(args) -> float:
@@ -252,14 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("file")
     m.add_argument("a_file")
     m.add_argument("b_file")
-    m.add_argument("--cutoff", type=int, default=4096)
+    m.add_argument("--cutoff", type=int, default=CROSSOVER)
     m.add_argument("--output", "-o", required=True)
     m.set_defaults(func=_multiply)
 
     b = sub.add_parser("bench", help="benchmark recursive multiplication")
     b.add_argument("file")
     b.add_argument("--sizes", required=True, help="comma-separated sizes")
-    b.add_argument("--cutoff", type=int, default=4096)
+    b.add_argument("--cutoff", type=int, default=CROSSOVER)
     b.add_argument("--json", action="store_true")
     b.set_defaults(func=_bench)
     return p

@@ -30,10 +30,11 @@ or 2 (not true or 2.0), an index that is not a JSON integer naming one of
 its side's rows, or a JSON boolean entry in a float64 file.
 
 Matrix files are plain text: first line "rows cols", then row-major
-whitespace-separated decimals.  Both directions stream, a row or a line at
-a time, and allocate nothing from the header before counting the values.
-Each line after the header is parsed by numpy's text parser; a line it
-refuses is parsed again token by token, so any token float() reads loads
+whitespace-separated decimals ("#" is a token, not a comment).  Neither
+direction holds the text, and nothing is allocated from the header before
+the values are counted: saving writes a row at a time, and loading hands
+the body to one call of numpy's text reader.  A body it refuses is read
+again a line at a time, token by token, so any token float() reads loads
 and a malformed one is refused with float()'s message.
 """
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 import json
 import warnings
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -179,37 +180,33 @@ def save_matrix(m: np.ndarray, path) -> None:
         raise SchemaError(f"cannot write matrix file: {e}") from e
 
 
-def _parse_line(line: str) -> np.ndarray:
-    """One line's values.  numpy refuses a line it cannot read to its end
-    (an older numpy only warns, which load_matrix turns into an error); the
-    line is then read token by token, as float() reads them."""
-    try:
-        return np.fromstring(line, sep=" ")
-    except (ValueError, DeprecationWarning):
-        return np.array(line.split(), dtype=np.float64)
-
-
 def load_matrix(path) -> np.ndarray:
-    """Read the matrix one line at a time: the header's two tokens may span
-    lines, and each later line's values become one float64 array.  A
-    whitespace-only line is skipped: numpy would read it as [-1.]."""
+    """Read the header's two tokens a line at a time (they may span lines,
+    and the tokens after them on their line are values), then the rest of
+    the file in one call of numpy's text reader, to which "#" is no comment.
+    A body it refuses (ragged lines, or a token only float() reads, such as
+    1_0) is read again a line at a time, as float() reads each token."""
     try:
-        with open(path) as f, warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            lines = (line.split() for line in f)
-            for head in accumulate(lines, initial=[]):
-                if len(head) >= 2:
-                    break
+        with open(path) as f:
+            head = []
+            while len(head) < 2 and (line := f.readline()):
+                head += line.split()
             rows, cols = int(head[0]), int(head[1])
-            chunks = [np.array(head[2:], dtype=np.float64)]
-            chunks += [_parse_line(line) for line in f if not line.isspace()]
+            chunks, body = [np.array(head[2:], dtype=np.float64)], f.tell()
+            try:
+                with warnings.catch_warnings():  # a blank body is no data, and no fault
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    chunks.append(np.loadtxt(f, comments=None, ndmin=1))
+            except ValueError:
+                f.seek(body)
+                chunks += [np.array(line.split(), dtype=np.float64) for line in f]
     except OSError as e:
         raise SchemaError(f"cannot read matrix file: {e}") from e
     except (IndexError, ValueError) as e:
         raise SchemaError(f"malformed matrix file: {e}") from e
     if rows < 0 or cols < 0:
         raise SchemaError(f"matrix file has negative dimensions {rows} x {cols}")
-    values = np.concatenate(chunks)
+    values = np.concatenate(chunks, axis=None)
     if len(values) != rows * cols:
         raise SchemaError(f"matrix file has {len(values)} values, expected {rows * cols}")
     return _finite(values, "matrix file").reshape(rows, cols)

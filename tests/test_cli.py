@@ -550,6 +550,9 @@ def test_default_cutoff_runs_the_plain_product(tmp_path, capsys, monkeypatch, np
     for extra, counts in (([], [64**3, 300**3]), (["--cutoff", "16"], [law(64), law(300)])):
         code, out, _ = run(capsys, "bench", str(dec), "--sizes", "64,300", *extra, "--json")
         assert code == 0 and [r["scalar_multiplications"] for r in json.loads(out)] == counts
+    # both subcommands read the one named default, the crossover README cites
+    for argv in (["multiply", "d", "a", "b", "-o", "c"], ["bench", "d", "--sizes", "8"]):
+        assert build_parser().parse_args(argv).cutoff == orbitmm.cli.CROSSOVER == 4096
 
 
 def test_multiply_non_finite_matrix_exits_2(tmp_path, capsys):
