@@ -124,7 +124,7 @@ def _plan(n: int, rank: int, size: int, cutoff: int) -> _Plan:
     where the top node is the leaf parent, S has rank + 1 blocks of (p/n)^2.
     That is 2.75 p^2 and a little more for the n = 2 orbit at depth >= 2,
     and a padded A adds its p^2 copy.  A depth-0 product holds only its
-    size^2 result.
+    size^2 result.  README's crossover section works out when a level pays.
     """
     if cutoff < 1:
         raise RefusedInput("cutoff must be >= 1")
@@ -294,10 +294,12 @@ def benchmark(dec: Decomposition, sizes, cutoff: int = 1) -> list[BenchRow]:
     Reports the executed multiplication count at the given cutoff, the exact
     count the recursion would use at cutoff 1, and the exponent estimate
     log_size(count at cutoff 1); the estimate is count-based, not time-based,
-    and needs every size >= 2 and a rank >= 1.
+    and needs every size >= 2, n >= 2 and a rank >= 1.
     """
     if any(size < 2 for size in sizes):
         raise RefusedInput(f"benchmark sizes must be >= 2, got {sizes}")
+    if dec.n < 2:  # a 1x1 scheme never splits a larger matrix, so it has no count at cutoff 1
+        raise RefusedInput(f"benchmark needs n >= 2 for its exponent estimate, got n={dec.n}")
     if dec.rank == 0:
         raise RefusedInput("benchmark needs a decomposition of rank >= 1, got rank 0")
     rng = np.random.default_rng(0)

@@ -15,19 +15,17 @@ Decomposition files are JSON documents:
 Each side's distinct factors are stored once under "rows", each matrix
 row-major, and term t is a[ia] (x) b[ib] (x) c[ic] for its index triple:
 the lattice's n^3 - n + 1 terms have n^2 + n + 1 distinct factors per side.
+A file written by hand may give each term its own rows, triple [t, t, t].
 Rationals serialize as "p/q" strings and floats as 17-significant-digit
 decimals, so both kinds round-trip losslessly.  Saving keys the rows by
 `tensor._row_groups` (float rows by their bytes: 0.0 and -0.0 differ),
-formats each distinct float once and writes the bytes of
-json.dumps(doc, indent=1), except that each row and each triple stands on
-one line as json.dumps(row) writes it.  Loading converts each given row
-once and gathers the (rank, n, n) stacks by the triples.  Version 1 files,
-one {"a": [...], "b": [...], "c": [...]} record per term under "terms", are
-still read: their rows are the records and their index the identity.
-Loading refuses with SchemaError any file outside the schema, such as
-`terms` that is not a list, a format_version other than the JSON integer 1
-or 2 (not true or 2.0), an index that is not a JSON integer naming one of
-its side's rows, or a JSON boolean entry in a float64 file.
+formats each distinct float once and writes json.dumps(doc, indent=1),
+except that each row and each triple stands on one line as json.dumps(row)
+writes it.  Loading converts each given row once and gathers the stacks by
+the triples.  It refuses with SchemaError any file outside the schema, such
+as `terms` that is not a list, a format_version other than the JSON integer
+2, an index that is not a JSON integer naming a row of its side, or a JSON
+boolean entry in a float64 file.
 
 Matrix files are plain text: first line "rows cols", then row-major
 whitespace-separated decimals ("#" is a token, not a comment).  Neither
@@ -133,8 +131,8 @@ def _load_stack(rows: list, index: np.ndarray, n: int, kind: str) -> np.ndarray:
 def load_decomposition(path) -> Decomposition:
     try:
         doc = json.loads(Path(path).read_text())
-        if (version := doc["format_version"]) not in (1, 2) or type(version) is not int:  # True == 1.0 == 1
-            raise SchemaError(f"unsupported format_version {version}")
+        if (version := doc["format_version"]) != FORMAT_VERSION or type(version) is not int:  # 2.0 == 2
+            raise SchemaError(f"unsupported format_version {version}: version 2 holds \"rows\" and [ia, ib, ic] triples")
         n, kind = doc["n"], doc["scalar_kind"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise SchemaError(f"n must be an integer, got {n!r}")
@@ -149,14 +147,11 @@ def load_decomposition(path) -> Decomposition:
             raise SchemaError(f"params must be an object, got {params!r}")
         if not isinstance(terms := doc["terms"], list):  # an object or a string iterates as keys or characters
             raise TypeError(f"terms must be a list, got {type(terms).__name__}")
-        if version == 1:  # one record per term: the records are the rows, in term order
-            rows, index = {s: [t[s] for t in terms] for s in "abc"}, [np.arange(len(terms))] * 3
-        else:
-            for t in terms:  # true == 1 and 1.0 == 1 would index as 1
-                if type(t) is not list or len(t) != 3 or not all(type(i) is int for i in t):
-                    raise SchemaError(f"a term must be a list of 3 integer row indices, got {t!r}")
-            rows, index = doc["rows"], np.array(terms, dtype=np.int64).reshape(len(terms), 3).T
-        U, V, W = (_load_stack(rows[s], i, n, kind) for s, i in zip("abc", index))
+        for t in terms:  # true == 1 and 1.0 == 1 would index as 1
+            if type(t) is not list or len(t) != 3 or not all(type(i) is int for i in t):
+                raise SchemaError(f"a term must be a list of 3 integer row indices, got {t!r}")
+        index = np.array(terms, dtype=np.int64).reshape(len(terms), 3).T
+        U, V, W = (_load_stack(doc["rows"][s], i, n, kind) for s, i in zip("abc", index))
         return Decomposition(U, V, W, scheme, params)
     except SchemaError:
         raise

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -46,9 +48,23 @@ def set_term_entry(doc: dict, term: int, side: str, k: int, value) -> None:
     doc["terms"][term][col] = len(rows) - 1
 
 
-def v1_doc(doc: dict) -> dict:
-    """The format_version 1 document of a version 2 one, in the version 1
-    writer's field order: one {"a", "b", "c"} record of full rows per term."""
-    rows = doc["rows"]
-    head = {k: v for k, v in doc.items() if k not in ("rows", "terms")}
-    return {**head, "format_version": 1, "terms": [{s: rows[s][i] for s, i in zip("abc", t)} for t in doc["terms"]]}
+def write_records(path, kind: str, n: int, records, **head) -> None:
+    """Write one (a, b, c) record of factor rows per term as the format_version
+    2 file a hand would write: each side's rows in term order, and term t's
+    index triple [t, t, t].  `head` adds fields such as scheme and params."""
+    rows = {s: [record[k] for record in records] for k, s in enumerate("abc")}
+    doc = {"format_version": 2, "n": n, **head, "scalar_kind": kind, "rows": rows, "terms": [[t] * 3 for t in range(len(records))]}
+    path.write_text(json.dumps(doc))
+
+
+def integer_lattice(n: int) -> np.ndarray:
+    """The paper's lattice in its integer frame basis, as int64 stacks
+    (3, n^3 - n + 1, n, n): with x = (e_1, ..., e_n, -sum e) and
+    e' = (e_1, ..., e_n, 0), the identity term, then for each ordered triple
+    (i, j, k) of distinct indices of x, in permutations order,
+    x_i (e'_j - e'_i)^T (x) x_j (e'_k - e'_j)^T (x) x_k (e'_i - e'_k)^T."""
+    eye = np.eye(n, dtype=np.int64)
+    x, e = np.vstack([eye, -eye.sum(0)]), np.vstack([eye, np.zeros(n, np.int64)])
+    i, j, k = np.array(list(permutations(range(n + 1), 3)), dtype=np.intp).reshape(-1, 3).T
+    dyads = [x[p][:, :, None] * (e[q] - e[p])[:, None, :] for p, q in ((i, j), (j, k), (k, i))]
+    return np.stack([np.concatenate([eye[None], d]) for d in dyads])

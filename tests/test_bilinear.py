@@ -23,6 +23,8 @@ from orbitmm.constructions import (
 from orbitmm.frames import simplex_frame
 from orbitmm.tensor import Decomposition, RefusedInput
 
+from conftest import integer_lattice
+
 
 def lattice(n):
     return lattice_decomposition(simplex_frame(n))
@@ -273,20 +275,26 @@ EXACT_CASES = [
     (200, 256, 0), (5, 4, 1), (8, 2, 2), (6, 2, 2), (8, 1, 3), (37, 4, 4), (100, 8, 4), (32, 1, 5), (256, 16, 4),
     (200, 16, 4), (256, 32, 3),
 ]
+# the n = 3 cases: depths 1 to 4, 30 and 10 padded to 81 and 27
+EXACT_CASES_3 = [(27, 9, 1), (27, 3, 2), (81, 3, 3), (30, 3, 3), (10, 1, 3), (81, 1, 4)]
 
 
-@pytest.mark.parametrize("name", ["naive2", "spill12"])
+@pytest.mark.parametrize("name", ["naive2", "spill12", "lattice2", "lattice3"])
 def test_recursive_exact_on_integer_floats(name, nprng):
     # integer-valued inputs and integer coefficients of magnitude at most 1
     # keep every block sum and leaf product an integer below 2^53, so the
     # product equals A @ B bit for bit whatever the summation order.
     # spill12 is naive2 plus the integer pairs (a, b, c) and (a, b, -c):
-    # rank 12, whose children's stacks spill into the workspace
+    # rank 12, whose children's stacks spill into the workspace.  lattice2
+    # and lattice3 are the paper's lattices in their integer frame basis
     dec, cases = naive2(), EXACT_CASES + [(64, 1, 6)]
     if name == "spill12":
         a, b, c = nprng.integers(-1, 2, (3, 2, 2, 2)).astype(np.float64)
         dec = Decomposition(np.concatenate([dec.U, a, a]), np.concatenate([dec.V, b, b]), np.concatenate([dec.W, c, -c]))
         cases = EXACT_CASES
+    elif name.startswith("lattice"):
+        n = int(name[-1])
+        dec, cases = Decomposition(*integer_lattice(n).astype(np.float64)), EXACT_CASES if n == 2 else EXACT_CASES_3
     for size, cutoff, depth in cases:
         A, B = nprng.integers(-3, 4, (2, size, size)).astype(np.float64)
         for X, Y in ((A, B), (A.T, B.T)):

@@ -20,7 +20,7 @@ from orbitmm.frames import fixture_frame
 from orbitmm.serialize import load_decomposition, load_matrix, save_decomposition, save_matrix
 from orbitmm.tensor import Decomposition
 
-from conftest import set_term_entry, v1_doc
+from conftest import set_term_entry, write_records
 
 
 def run(capsys, *argv):
@@ -309,9 +309,8 @@ def test_verify_exact_gram_refuses_oversized_n_before_building_a_frame(tmp_path,
         return real(1)
 
     monkeypatch.setattr("orbitmm.cli.simplex_frame", recorded)
-    doc = {"format_version": 1, "n": 10**6, "scheme": "lattice", "scalar_kind": "float64", "terms": []}
     path = tmp_path / "huge-n.json"
-    path.write_text(json.dumps(doc))
+    write_records(path, "float64", 10**6, [], scheme="lattice")
     code, out, err = run(capsys, "verify", str(path), "--mode", "exact-gram")
     assert code == 2 and out == "" and "n=1000000" in err
     assert calls == []
@@ -431,16 +430,8 @@ def test_verify_oversized_n_exits_2(tmp_path, capsys):
     # one term at n = 40: its dense tensor would need 8 * 40^6 bytes (about 33 GB)
     n = 40
     eye = ["1" if i == j else "0" for i in range(n) for j in range(n)]
-    doc = {
-        "format_version": 1,
-        "n": n,
-        "scheme": "imported",
-        "params": {},
-        "scalar_kind": "float64",
-        "terms": [{"a": eye, "b": eye, "c": eye}],
-    }
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(doc))
+    write_records(path, "float64", n, [(eye, eye, eye)], scheme="imported", params={})
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
     assert "n=40" in err and str(8 * n**6) in err
@@ -628,14 +619,22 @@ def test_multiply_checks_dec_before_reading_matrices(tmp_path, capsys):
 def test_rational_entry_beyond_float64_exits_2(tmp_path, capsys, command):
     # 10^400 has no float64 value: the file is refused, not called invalid
     q = ["1/1", "0/1", "0/1", "1/1"]
-    doc = {"format_version": 1, "n": 2, "scalar_kind": "rational", "terms": [{"a": ["1" + "0" * 400 + "/1"] + q[1:], "b": q, "c": q}]}
     path, fa = tmp_path / "huge.json", tmp_path / "a.txt"
-    path.write_text(json.dumps(doc))
+    write_records(path, "rational", 2, [(["1" + "0" * 400 + "/1"] + q[1:], q, q)])
     save_matrix(np.eye(2), fa)
     extra = {"verify": (), "analyze": (), "multiply": (str(fa), str(fa), "-o", str(tmp_path / "c.txt"))}[command]
     code, out, err = run(capsys, command, str(path), *extra)
     assert code == 2 and out == ""
     assert "outside float64's range" in err
+
+
+@pytest.mark.parametrize("cutoff", [(), ("--cutoff", "1")])
+def test_bench_n1_exits_2(tmp_path, capsys, cutoff):
+    # the n = 1 lattice is valid, but its exponent estimate has no count at
+    # cutoff 1 to take: refused at the default cutoff too, where nothing splits
+    path = gen_lattice(tmp_path, capsys, 1)
+    code, out, err = run(capsys, "bench", str(path), "--sizes", "2,3", *cutoff)
+    assert (code, out, err) == (2, "", "error: benchmark needs n >= 2 for its exponent estimate, got n=1\n")
 
 
 @pytest.mark.parametrize("command,cutoff", [("multiply", "0"), ("bench", "-1")])
@@ -907,11 +906,36 @@ def _fuzz_nodes(node, path=()):
         yield from _fuzz_nodes(child, path + (key,))
 
 
+def _v1_doc(doc: dict) -> dict:
+    """A format_version 2 document spelled as version 1 wrote it: one
+    {"a", "b", "c"} record of full rows per term, and no "rows"."""
+    head = {k: v for k, v in doc.items() if k not in ("rows", "terms")}
+    terms = [{s: doc["rows"][s][i] for s, i in zip("abc", t)} for t in doc["terms"]]
+    return {**head, "format_version": 1, "terms": terms}
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "multiply", "bench"])
+def test_format_version_1_file_exits_2(tmp_path, capsys, command):
+    # the n = 2 lattice in the retired version 1 spelling; its version 2
+    # spelling with identity triples runs
+    records, fa = tmp_path / "records.json", tmp_path / "a.txt"
+    doc = json.loads(gen_lattice(tmp_path, capsys).read_text())
+    v1 = _v1_doc(doc)
+    (tmp_path / "v1.json").write_text(json.dumps(v1))
+    write_records(records, doc["scalar_kind"], 2, [[t[s] for s in "abc"] for t in v1["terms"]])
+    save_matrix(np.eye(2), fa)
+    extra = {"multiply": (str(fa), str(fa), "-o", str(tmp_path / "c.txt")), "bench": ("--sizes", "2")}.get(command, ())
+    code, out, err = run(capsys, command, str(tmp_path / "v1.json"), *extra)
+    assert (code, out) == (2, "")
+    assert err == 'error: unsupported format_version 1: version 2 holds "rows" and [ia, ib, ic] triples\n'
+    assert run(capsys, command, str(records), *extra)[0] == 0
+
+
 @pytest.fixture(scope="module")
 def fuzz_docs(tmp_path_factory):
     """The n = 2 orbit and lattice files that gen writes, the lattice with
     each entry rewritten as the exact "p/q" of its float64 value, and the
-    lattice as a format_version 1 file."""
+    lattice as a format_version 1 file, which is refused."""
     tmp = tmp_path_factory.mktemp("fuzz")
     docs = {}
     for scheme in ("orbit", "lattice"):
@@ -922,7 +946,7 @@ def fuzz_docs(tmp_path_factory):
     for rows in rational["rows"].values():
         rows[:] = [[f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in row] for row in rows]
     docs["rational"] = rational
-    docs["lattice-v1"] = v1_doc(docs["lattice"])
+    docs["lattice-v1"] = _v1_doc(docs["lattice"])
     save_matrix(np.arange(4.0).reshape(2, 2), tmp / "a.txt")
     return tmp, docs
 

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -22,8 +23,10 @@ from orbitmm.constructions import (
     _y_of,
 )
 from orbitmm.frames import lift_permutation, simplex_frame
-from orbitmm.tensor import RefusedInput, tensor_of
+from orbitmm.tensor import Decomposition, RefusedInput, mm_tensor, tensor_of
 from orbitmm.verify import verify_float
+
+from conftest import integer_lattice
 
 # entrywise residual of strassen_theta(pi/12) against MM_2, pinned via the
 # float verifier; analytically 1/(2 sqrt 3)
@@ -48,6 +51,18 @@ def test_lattice_factors_are_rank_one():
     for t in dec.terms[1:]:
         for m in (t.a, t.b, t.c):
             assert np.linalg.matrix_rank(m, tol=1e-10) == 1
+
+
+@pytest.mark.parametrize("n, nnz", [(2, 12), (3, 51), (4, 136)])
+def test_integer_lattice_is_an_exact_certificate(n, nnz):
+    # the lattice in its integer frame basis: rank n^3 - n + 1, entries in
+    # {-1, 0, 1}, (n-1)(3n^2-n)+n nonzeros per side, and in Fractions its
+    # tensor is MM_n exactly
+    stacks = integer_lattice(n)
+    assert stacks.shape == (3, n**3 - n + 1, n, n) and set(np.unique(stacks)) <= {-1, 0, 1}
+    assert [np.count_nonzero(X) for X in stacks] == [nnz] * 3 == [(n - 1) * (3 * n * n - n) + n] * 3
+    exact = Decomposition(*(np.vectorize(Fraction, otypes=[object])(X) for X in stacks))
+    assert np.array_equal(tensor_of(exact), mm_tensor(n, exact=True))
 
 
 def test_group_sizes():

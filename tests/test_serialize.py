@@ -29,7 +29,7 @@ from orbitmm.serialize import (
     save_matrix,
 )
 
-from conftest import set_term_entry, v1_doc
+from conftest import set_term_entry, write_records
 
 
 def test_roundtrip_exact(tmp_path):
@@ -109,10 +109,7 @@ def test_rational_scalars_survive(tmp_path):
 
 
 def _term_rows(doc):
-    """Each side's factor rows in term order, read from a document of either
-    format_version."""
-    if doc["format_version"] == 1:
-        return {s: [t[s] for t in doc["terms"]] for s in "abc"}
+    """Each side's factor rows in term order, read from a document."""
     return {s: [doc["rows"][s][t[k]] for t in doc["terms"]] for k, s in enumerate("abc")}
 
 
@@ -234,22 +231,19 @@ WRITER_CASES = {
 
 @pytest.mark.parametrize("name", WRITER_CASES)
 def test_save_decomposition_bytes_equal_json_dumps(tmp_path, name):
-    # the saved bytes are the documented layout of the reference document;
-    # the file and its version 1 document load to the saved stacks bit for bit
+    # the saved bytes are the documented layout of the reference document,
+    # and the file loads to the saved stacks bit for bit
     dec = WRITER_CASES[name]()
-    path, v1 = tmp_path / "d.json", tmp_path / "v1.json"
+    path = tmp_path / "d.json"
     save_decomposition(dec, path)
     assert path.read_text() == _json_text(_json_doc(dec))
     if name == "rank-0":
         assert '"terms": []' in path.read_text() and '"a": []' in path.read_text()
-    v1.write_text(json.dumps(v1_doc(_json_doc(dec)), indent=1))
     if name == "non-finite":
-        for p in (path, v1):
-            with pytest.raises(SchemaError, match=r"non-finite value \(inf\) at entry 0$"):
-                load_decomposition(p)
+        with pytest.raises(SchemaError, match=r"non-finite value \(inf\) at entry 0$"):
+            load_decomposition(path)
         return
     _assert_same_stacks(dec, load_decomposition(path))
-    _assert_same_stacks(dec, load_decomposition(v1))
 
 
 def _per_entry_stacks(path):
@@ -293,9 +287,8 @@ SAVED_STACKS = {
 @pytest.mark.parametrize("name", [*GEN_ARGS, *SAVED_STACKS])
 def test_load_matches_per_entry_and_save_of_load_is_identity(tmp_path, name):
     # every file gen writes, and stacks with no repeated factor, repeated
-    # rational factors and no factor at all; the file's version 1 document
-    # loads to the same stacks bit for bit
-    path, again, v1 = tmp_path / "d.json", tmp_path / "again.json", tmp_path / "v1.json"
+    # rational factors and no factor at all
+    path, again = tmp_path / "d.json", tmp_path / "again.json"
     if name in GEN_ARGS:
         assert main(["gen", *GEN_ARGS[name], "-o", str(path)]) == 0
     else:
@@ -303,14 +296,6 @@ def test_load_matches_per_entry_and_save_of_load_is_identity(tmp_path, name):
     dec = _assert_per_entry_load(path)
     save_decomposition(dec, again)
     assert again.read_bytes() == path.read_bytes()
-    v1.write_text(json.dumps(v1_doc(json.loads(path.read_text())), indent=1))
-    _assert_same_stacks(dec, _assert_per_entry_load(v1))
-
-
-def _write_terms(path, kind, n, sides):
-    """A file whose terms take their a, b and c sides from `sides` (JSON values)."""
-    terms = [dict(zip("abc", t)) for t in sides]
-    path.write_text(json.dumps({"format_version": 1, "n": n, "scalar_kind": kind, "terms": terms}))
 
 
 @pytest.mark.parametrize(
@@ -319,10 +304,10 @@ def _write_terms(path, kind, n, sides):
 )
 def test_loader_keeps_the_sign_of_zero_literals(tmp_path, zeros):
     # as keys 0.0 == -0.0 == 0, so no two rows may share a conversion by
-    # value: a version 1 file converts every term's row
+    # value: each term's own row is converted
     rows = [[z, "1.5", "2", "3"] for z in zeros]
     path = tmp_path / "z.json"
-    _write_terms(path, "float64", 2, [(r, rows[-1 - i], r) for i, r in enumerate(rows)])
+    write_records(path, "float64", 2, [(r, rows[-1 - i], r) for i, r in enumerate(rows)])
     dec = _assert_per_entry_load(path)
     assert np.signbit(dec.U[:, 0, 0]).tolist() == [False, True, False, False, True, True, False, True, False]
 
@@ -336,7 +321,7 @@ def test_rows_of_one_key_are_refused_at_the_first(tmp_path, kind, message, first
     # names the first in file order
     good = ["1", "2", "3", "4"]
     path = tmp_path / "bad.json"
-    _write_terms(path, kind, 2, [(good, good, good), (good, first, good), (good, second, good), (good, first, good)])
+    write_records(path, kind, 2, [(good, good, good), (good, first, good), (good, second, good), (good, first, good)])
     bad = next(x for x in first if "," in x)
     with pytest.raises(SchemaError, match=f"malformed decomposition file: {re.escape(message.format(bad))}$"):
         load_decomposition(path)
@@ -349,7 +334,7 @@ def test_side_that_is_not_a_list_rejected(tmp_path, kind, side):
     # rational file once read "1001" as its four characters
     q = ["1", "0", "0", "1"]
     path = tmp_path / "bad.json"
-    _write_terms(path, kind, 2, [(q, q, q), (q, side, q)])
+    write_records(path, kind, 2, [(q, q, q), (q, side, q)])
     with pytest.raises(SchemaError, match=f"malformed decomposition file: matrix must be a list, got {type(side).__name__}"):
         load_decomposition(path)
 
@@ -360,7 +345,7 @@ def test_non_finite_refusal_names_the_file_entry(tmp_path, entry):
     # first entry in file order
     good, bad = ["1", "2", "3", "4"], ["1", "2", entry, "4"]
     path = tmp_path / "bad.json"
-    _write_terms(path, "float64", 2, [(good, good, good)] * 2 + [(good, bad, good), (good, good, good), (good, bad, good)])
+    write_records(path, "float64", 2, [(good, good, good)] * 2 + [(good, bad, good), (good, good, good), (good, bad, good)])
     value = np.array(entry, dtype=np.float64)
     with pytest.raises(SchemaError, match=rf"non-finite value \({value}\) at entry 10$"):
         load_decomposition(path)
@@ -378,14 +363,14 @@ def test_non_finite_refusal_names_the_file_entry(tmp_path, entry):
 def test_rational_refusal_names_the_first_non_string(tmp_path, second, third, got):
     q = ["1/1", "0/1", "0/1", "1/1"]
     path = tmp_path / "bad.json"
-    _write_terms(path, "rational", 2, [(q, q, q), (second, q, q), (third, q, q), (second, q, q)])
+    write_records(path, "rational", 2, [(q, q, q), (second, q, q), (third, q, q), (second, q, q)])
     with pytest.raises(SchemaError, match=f"must be 'p/q' strings, got {re.escape(got)}$"):
         load_decomposition(path)
 
 
 def test_nonpositive_n_rejected(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"format_version": 1, "n": 0, "scalar_kind": "float64", "terms": [{"a": [], "b": [], "c": []}]}))
+    write_records(path, "float64", 0, [([], [], [])])
     with pytest.raises(SchemaError, match="n must be >= 1"):
         load_decomposition(path)
 
@@ -404,9 +389,8 @@ def test_non_string_scheme_rejected(scheme, tmp_path):
 
 def test_zero_denominator_rejected(tmp_path):
     q = ["1/1", "0/1", "0/1", "1/1"]
-    doc = {"format_version": 1, "n": 2, "scalar_kind": "rational", "terms": [{"a": ["1/0"] + q[1:], "b": q, "c": q}]}
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    write_records(path, "rational", 2, [(["1/0"] + q[1:], q, q)])
     with pytest.raises(SchemaError, match="malformed"):
         load_decomposition(path)
 
@@ -415,22 +399,26 @@ def test_zero_denominator_rejected(tmp_path):
 def test_rational_entry_must_be_a_string(entry, tmp_path):
     # Fraction(0.1) is 3602879701896397/36028797018963968 and Fraction(True) is 1
     q = ["1/1", "0/1", "0/1", "1/1"]
-    doc = {"format_version": 1, "n": 2, "scalar_kind": "rational", "terms": [{"a": q, "b": q[:3] + [entry], "c": q}]}
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    write_records(path, "rational", 2, [(q, q[:3] + [entry], q)])
     with pytest.raises(SchemaError, match=f"must be 'p/q' strings, got {entry!r}"):
         load_decomposition(path)
 
 
 # files that loaded before they were refused: terms as an object or a
 # string (as rank 0), a JSON boolean entry in a float64 file (as 1.0 or 0.0)
-# and a format_version equal to 1 that is not the JSON integer 1
+# and a format_version equal to 1 that is not the JSON integer 1; and a
+# version 1 or 3 header on a version 2 body
+V2_LAYOUT = 'version 2 holds "rows" and [ia, ib, ic] triples'
 LOADER_HOLES = {
     "terms-object": ("terms", {}, "malformed decomposition file: terms must be a list, got dict"),
     "terms-string": ("terms", "", "malformed decomposition file: terms must be a list, got str"),
     "boolean-entry": ("a", [True, False, False, True], "float64 entries must be decimal strings or numbers, got True"),
-    "version-true": ("format_version", True, "unsupported format_version True"),
-    "version-float": ("format_version", 1.0, "unsupported format_version 1.0"),
+    "version-true": ("format_version", True, f"unsupported format_version True: {V2_LAYOUT}"),
+    "version-float": ("format_version", 1.0, f"unsupported format_version 1.0: {V2_LAYOUT}"),
+    "version-1": ("format_version", 1, f"unsupported format_version 1: {V2_LAYOUT}"),
+    "version-3": ("format_version", 3, f"unsupported format_version 3: {V2_LAYOUT}"),
+    "version-2-float": ("format_version", 2.0, f"unsupported format_version 2.0: {V2_LAYOUT}"),
 }
 
 
@@ -553,9 +541,9 @@ def test_truncated_file_rejected(tmp_path):
 
 def test_missing_field_rejected(tmp_path):
     path = tmp_path / "bad.json"
-    doc = {"format_version": 1, "n": 2, "terms": []}
+    doc = {"format_version": 2, "n": 2, "terms": []}
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="malformed decomposition file: 'scalar_kind'$"):
         load_decomposition(path)
 
 
@@ -585,12 +573,8 @@ def test_wrong_matrix_length_rejected(tmp_path):
 def test_wrong_rational_matrix_length_rejected(tmp_path):
     # one factor short and one long: the entry total still matches
     q = ["1/1", "0/1", "0/1", "1/1"]
-    doc = {
-        "format_version": 1, "n": 2, "scalar_kind": "rational",
-        "terms": [{"a": q[:-1], "b": q, "c": q}, {"a": q + ["1/1"], "b": q, "c": q}],
-    }
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    write_records(bad, "rational", 2, [(q[:-1], q, q), (q + ["1/1"], q, q)])
     with pytest.raises(SchemaError, match="3 entries, expected 4"):
         load_decomposition(bad)
 
