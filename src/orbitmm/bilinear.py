@@ -9,9 +9,10 @@ Recursion replaces the scalar inner products by block-weighted sums and
 switches to the plain product at or below the cutoff size.  Scalar
 multiplication counts are exact: only the multiplications of the base-case
 products are counted, summed over the leaves that run.  _plan works out
-the executor's shape once (padding, depth, count law, A-side groups and
-workspace).  There is one executor, multiply_recursive; multiply_via is its
-one-level case (cutoff 1 at the decomposition's own size).
+the executor's shape once: the fewest splits that bring a block to the
+cutoff, padding only to the least size they divide evenly, the count law,
+A-side groups and workspace.  There is one executor, multiply_recursive;
+multiply_via is its one-level case (cutoff 1 at the decomposition's size).
 
 multiply_recursive refuses (RefusedInput) matrices not square and of one
 size.  At or below the cutoff the product is one matmul, A @ B, on the
@@ -99,11 +100,11 @@ _Plan = namedtuple("_Plan", "n padded depth leaf count spill groups workspace")
 
 def _plan(n: int, rank: int, size: int, cutoff: int) -> _Plan:
     """The executor's shape for a rank-`rank` n x n scheme on size x size
-    inputs.  A matrix the recursion splits is padded with zeros to the next
-    power of n, p = `padded`; the recursion splits while the block is larger
-    than the cutoff, `depth` times, to `leaf` x `leaf` blocks: rank^depth
-    leaf products of leaf^3 scalar multiplications each (`count`).  At depth
-    0 nothing is padded: p = leaf = size, and the count is size^3.
+    inputs.  The recursion splits the fewest times, `depth`, that bring a
+    block to the cutoff, `leaf` = ceil(size/n^depth), and pads with zeros to
+    p = `padded` = leaf*n^depth, the least size those splits divide evenly:
+    rank^depth leaf products of leaf^3 scalar multiplications (`count`).  At
+    or below the cutoff nothing is split or padded, whatever n: p = size.
 
     The one block rule: a node forms its A sides in every block of its B
     operand that holds no child stack, g at a time by one GEMM of g A-side
@@ -128,16 +129,13 @@ def _plan(n: int, rank: int, size: int, cutoff: int) -> _Plan:
     """
     if cutoff < 1:
         raise RefusedInput("cutoff must be >= 1")
-    if n < 2 and size > 1:
+    if n < 2 and size > cutoff:
         raise RefusedInput("a 1x1 scheme cannot split a larger matrix")
-    padded = 1
-    while padded < size:
-        padded *= n
-    padded = padded if padded > cutoff else size  # only a matrix the recursion splits is padded
-    depth, leaf = 0, padded
+    depth, leaf = 0, size
     while leaf > cutoff:
-        leaf //= n
         depth += 1
+        leaf = -(-size // n**depth)
+    padded = leaf * n**depth
     nn = n * n
     spill = rank + 1 > nn * (nn - 1)
     groups = tuple(nn if spill or level == depth - 1 else nn + (-(rank + 1) // nn) for level in range(depth))

@@ -54,13 +54,13 @@ def compose(p, q) -> tuple:
 
 SQ2, SQ3 = math.sqrt(2), math.sqrt(3)
 
-# The standard orbit, for n = 2, 3, 4 only: its fixture frame, its group of
-# order n^3 - n acting 3-transitively on the n+1 frame indices, and the
-# scales (alpha, beta) of its seed vectors (see orbit_spec_for).
+# The standard orbit, for n = 2, 3, 4 only: its fixture frame and its group
+# of order n^3 - n acting 3-transitively on the n+1 frame indices; its seed
+# is the lattice's first factor (see orbit_spec_for).
 _STANDARD_ORBITS = {
-    2: ("triangle-2", symmetric_group(3), (1.0, 2.0 / 3.0)),
-    3: ("tetrahedron-3", symmetric_group(4), (3.0 / (2.0 * SQ2), 1.0 / SQ2)),
-    4: ("simplex-4", alternating_group(5), (math.sqrt(6.0 / 5.0), 2.0 * math.sqrt(2.0 / 15.0))),
+    2: ("triangle-2", symmetric_group(3)),
+    3: ("tetrahedron-3", symmetric_group(4)),
+    4: ("simplex-4", alternating_group(5)),
 }
 
 
@@ -135,14 +135,14 @@ def orbit_decomposition(spec: OrbitSpec) -> Decomposition:
 
 def orbit_spec_for(n: int) -> OrbitSpec:
     """The standard orbit construction for n in {2, 3, 4}, on the explicit
-    coordinate fixture for that n: u = alpha w1 and v = beta (w2 - w1) with
-    alpha*beta = n/(n+1)."""
+    coordinate fixture for that n.  Its seed is the lattice's first factor
+    c|w1><w2 - w1|: u = w1 and v = c (w2 - w1), with c = n/(n+1)."""
     if n not in _STANDARD_ORBITS:
         raise RefusedInput(f"the standard orbit exists for n in {tuple(_STANDARD_ORBITS)}, not for n={n}")
-    fixture, group, (alpha, beta) = _STANDARD_ORBITS[n]
+    fixture, group = _STANDARD_ORBITS[n]
     frame = fixture_frame(fixture)
     w = frame.vectors
-    return OrbitSpec(frame, group, standard_sigma_perm(frame.size), alpha * w[0], beta * (w[1] - w[0]))
+    return OrbitSpec(frame, group, standard_sigma_perm(frame.size), w[0], n / (n + 1) * (w[1] - w[0]))
 
 
 # Exact values of cos(k*pi/6) for k = 0..11; avoids pi rounding in goldens.

@@ -31,19 +31,20 @@ def lattice(n):
 
 
 def _reference_recursive(dec, A, B, cutoff=1):
-    """The per-term loop executor: pads a matrix it splits to the next power
-    of n and, at each node, forms every block combination and accumulates
-    every product term by term.  A matrix at or below the cutoff is not
-    split, so it is not padded either: its plain product costs size^3, not
-    padded^3.  Returns (result, scalar multiplications, recursion depth)."""
+    """The per-term loop executor: splits the fewest times that bring a
+    block to the cutoff, so it pads to leaf * n^depth with leaf =
+    ceil(size / n^depth), and, at each node, forms every block combination
+    and accumulates every product term by term.  A matrix at or below the
+    cutoff is not split, so it is not padded either: its plain product costs
+    size^3.  Returns (result, scalar multiplications, recursion depth)."""
     n = dec.n
     d = dec.to_float() if dec.exact else dec
     size = A.shape[0]
-    padded = 1
-    while padded < max(size, 1):
-        padded *= n
-    if padded <= cutoff:
-        padded = size
+    leaf, scale = size, 1
+    while leaf > cutoff:
+        scale *= n
+        leaf = -(-size // scale)
+    padded = leaf * scale
     Ap = np.zeros((padded, padded))
     Bp = np.zeros((padded, padded))
     Ap[:size, :size] = A
@@ -198,17 +199,20 @@ def test_recursive_refuses_complex_input(side, monkeypatch):
 
 # (size, cutoff, recursion depth): depths 0 to 4, padded sizes, and sizes at
 # or below the cutoff; n=4 stops at depth 2, where rank 61 makes 3721 leaves.
-# orbit2 at 384 (padded to 512) and lattice3 at 729 have top blocks of 65536
-# and 59049 entries, so their combination GEMMs run in several column panels
+# orbit2 at 384 (leaves of 48, unpadded) and lattice3 at 729 have top blocks
+# of 36864 and 59049 entries, so their combination GEMMs run in several column panels
 # of PANEL = 8192, lattice3's last one ragged; lattice4 at 256 runs 61 terms in A-side groups
 # of 12, the last group of one.  orbit2's 256/16 and 200/16, lattice3's
 # 243/9 and 17/1 and rank13's two shapes run small leaves at depth 3 or 4.
+# orbit2's 31/31 and 260/200 and lattice3's 28/9 are shapes where the fewest
+# splits (31/31 at depth 0) and the least padding (28/9 to 36) differ from
+# padding to the next power of n.
 EXECUTOR_CASES = {
     "orbit2": [
         (1, 1, 0), (4, 4, 0), (5, 8, 0), (5, 4, 1), (10, 4, 2), (17, 4, 3), (8, 1, 3), (384, 64, 3), (256, 16, 4),
-        (200, 16, 4),
+        (200, 16, 4), (31, 31, 0), (260, 200, 1),
     ],
-    "lattice3": [(3, 3, 0), (5, 9, 0), (5, 3, 1), (10, 3, 2), (17, 1, 3), (729, 81, 2), (243, 9, 3)],
+    "lattice3": [(3, 3, 0), (5, 9, 0), (5, 3, 1), (10, 3, 2), (17, 1, 3), (729, 81, 2), (243, 9, 3), (28, 9, 2)],
     "lattice4": [(4, 4, 0), (3, 16, 0), (5, 4, 1), (10, 1, 2), (256, 16, 2)],
     "rank9": [(256, 32, 3)],
     "rank13": [(32, 4, 3), (27, 4, 3)],
@@ -270,13 +274,15 @@ def test_recursive_matches_reference(name, kind, nprng):
 
 # (size, cutoff, depth): depths 0 to 6, padded and unpadded sizes; the
 # rank-12 scheme stops at depth 5, as its 12^6 leaves at depth 6 take
-# seconds a product.
+# seconds a product.  31/31, 260/200 and 40/8 run at depth 0, at depth 1 and
+# on leaves of 5, unpadded, where padding to the next power of 2 would run
+# depth 1, depth 2 and leaves of 8
 EXACT_CASES = [
     (200, 256, 0), (5, 4, 1), (8, 2, 2), (6, 2, 2), (8, 1, 3), (37, 4, 4), (100, 8, 4), (32, 1, 5), (256, 16, 4),
-    (200, 16, 4), (256, 32, 3),
+    (200, 16, 4), (256, 32, 3), (31, 31, 0), (260, 200, 1), (40, 8, 3),
 ]
-# the n = 3 cases: depths 1 to 4, 30 and 10 padded to 81 and 27
-EXACT_CASES_3 = [(27, 9, 1), (27, 3, 2), (81, 3, 3), (30, 3, 3), (10, 1, 3), (81, 1, 4)]
+# the n = 3 cases: depths 1 to 4, 30 padded to 54, 28 to 36 and 10 to 27
+EXACT_CASES_3 = [(27, 9, 1), (27, 3, 2), (81, 3, 3), (30, 3, 3), (10, 1, 3), (81, 1, 4), (28, 9, 2)]
 
 
 @pytest.mark.parametrize("name", ["naive2", "spill12", "lattice2", "lattice3"])
@@ -336,11 +342,11 @@ def test_a_side_passes(name, pairs, size, cutoff, g, monkeypatch, nprng):
     A, B = nprng.standard_normal((2, size, size))
     rep = multiply_recursive(dec, A, B, cutoff=cutoff)
     assert np.abs(rep.result - A @ B).max() <= 1e-12 * float(np.abs(A @ B).max())
-    n, rank, depth, p = dec.n, dec.rank, rep.recursion_depth, 1
-    while p < size:
-        p *= n
+    n, rank, depth = dec.n, dec.rank, rep.recursion_depth
+    plan = _plan(n, rank, size, cutoff)
+    p = plan.padded
     groups = [n * n if level == depth - 1 else g for level in range(depth)]
-    assert list(_plan(n, rank, size, cutoff).groups) == groups
+    assert list(plan.groups) == groups
     assert passes == {
         (p // n ** (level + 1)) ** 2: rank**level * math.ceil(rank / groups[level]) for level in range(depth)
     }
@@ -396,10 +402,11 @@ def _peak_within_law(dec, A, B, cutoff):
     rows of at most PANEL and (p/n)^2/n^2 entries.  The workspace is the top
     node's stack of rank (p/n)^2 entries (rank + 1 blocks at depth 1, where
     the top node is the leaf parent), every child's stack living in its
-    parent's free blocks, or when the stacks spill, every level's stack.  A
-    size that is not a power of n adds one p^2: A is copied once, padded,
-    since the top node's panels are views of a p x p matrix.  The product
-    must also match A @ B and the count law."""
+    parent's free blocks, or when the stacks spill, every level's stack.  p
+    is the least size that the plan's splits divide evenly, and p > size
+    adds one p^2: A is copied once, padded, since the top node's panels are
+    views of a p x p matrix.  The product must also match A @ B and the
+    count law."""
     multiply_recursive(dec, A, B, cutoff=cutoff)  # warm up numpy's caches
     tracemalloc.start()
     try:
@@ -408,9 +415,8 @@ def _peak_within_law(dec, A, B, cutoff):
     finally:
         tracemalloc.stop()
     n, rank, depth = dec.n, dec.rank, rep.recursion_depth
-    size, p = A.shape[0], 1
-    while p < size:
-        p *= n
+    size = A.shape[0]
+    p = _plan(n, rank, size, cutoff).padded
     assert depth >= 1 and rep.scalar_multiplications == predicted_mult_count(n, rank, size, cutoff)
     assert np.abs(rep.result - A @ B).max() <= 1e-12 * float(np.abs(A @ B).max())
     copies = 1 if p == size else 2
@@ -422,7 +428,7 @@ def _peak_within_law(dec, A, B, cutoff):
 
 # small leaves at depth 3 or 4: orbit2 at 256/16 and 200/16, lattice3 at
 # 243/9, lattice4 at 256/4 and rank13 (spilling) at 256/16; top-node panels
-# that are ragged (lattice3 at 729/81) or padded (orbit2 at 384/64)
+# that are ragged (lattice3 at 729/81) or padded (orbit2 at 500/64, to 504)
 @pytest.mark.parametrize("name,size,cutoff", [
     ("orbit2", 512, 64), ("lattice3", 243, 27), ("lattice3", 729, 27), ("orbit2", 500, 64), ("lattice3", 244, 27),
     ("naive2", 512, 64), ("orbit2", 512, 256), ("lattice3", 243, 81), ("orbit2", 256, 16), ("orbit2", 200, 16),
@@ -456,11 +462,54 @@ def test_depth0_product_reads_b_in_place(nprng):
 
 def test_depth0_plan_is_not_padded():
     # 200 <= 256 is never split, so it is not padded to 256; 300 is split
-    # once, so it is padded to 512 as before
+    # once, to two blocks of 150, which that split divides unpadded
     plan = _plan(2, 7, 200, 256)
     assert (plan.padded, plan.depth, plan.leaf, plan.count, plan.workspace) == (200, 0, 200, 200**3, 0)
     plan = _plan(2, 7, 300, 256)
-    assert (plan.padded, plan.depth) == (512, 1)
+    assert (plan.padded, plan.depth, plan.leaf, plan.count) == (300, 1, 150, 7 * 150**3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_plan_at_or_below_the_cutoff_is_the_plain_product(n):
+    # whatever n, the n = 1 lattice included: depth 0, unpadded, size^3
+    for size, cutoff in [(1, 1), (2, 2), (7, 9), (31, 31), (4096, 4096)]:
+        plan = _plan(n, n**3 - n + 1, size, cutoff)
+        assert (plan.padded, plan.depth, plan.leaf, plan.count, plan.workspace) == (size, 0, size, size**3, 0)
+
+
+# (n, rank, size, cutoff) -> the whole plan, literal: power-of-n sizes, and
+# any size at cutoff 1, padded to the next power of n
+PINNED_PLANS = {
+    (2, 7, 64, 8): (2, 64, 3, 8, 175616, False, (2, 2, 4), 7168),
+    (2, 7, 64, 64): (2, 64, 0, 64, 262144, False, (), 0),
+    (3, 25, 243, 9): (3, 243, 3, 9, 11390625, False, (6, 6, 9), 164025),
+    (3, 25, 81, 80): (3, 81, 1, 27, 492075, False, (9,), 18954),
+    (4, 61, 256, 16): (4, 256, 2, 16, 15241216, False, (12, 16), 249856),
+    (2, 13, 32, 4): (2, 32, 3, 4, 140608, True, (4, 4, 4), 4384),
+    (2, 7, 5, 1): (2, 8, 3, 1, 343, False, (2, 2, 4), 112),
+    (2, 7, 31, 1): (2, 32, 5, 1, 16807, False, (2, 2, 2, 2, 4), 1792),
+    (3, 25, 10, 1): (3, 27, 3, 1, 15625, False, (6, 6, 9), 2025),
+    (4, 61, 17, 1): (4, 64, 3, 1, 226981, False, (12, 12, 16), 15616),
+    (2, 13, 9, 1): (2, 16, 4, 1, 28561, True, (4, 4, 4, 4), 1106),
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_PLANS))
+def test_plan_of_powers_of_n_and_cutoff_1(args):
+    assert _plan(*args) == PINNED_PLANS[args]
+
+
+# (n, rank, size, cutoff) -> (padded, depth, leaf, count): one split fewer
+# than padding to the next power of n would make (31/31, 260/200), or a
+# leaf that divides less padding (28/9: 36, not 81; 40/8: 40, not 64)
+@pytest.mark.parametrize("args,shape", [
+    ((2, 7, 31, 31), (31, 0, 31, 31**3)), ((2, 7, 260, 200), (260, 1, 130, 7 * 130**3)),
+    ((3, 25, 28, 9), (36, 2, 4, 25**2 * 4**3)), ((2, 7, 40, 8), (40, 3, 5, 7**3 * 5**3)),
+    ((3, 25, 244, 27), (270, 3, 10, 25**3 * 10**3)), ((3, 25, 500, 27), (513, 3, 19, 25**3 * 19**3)),
+])
+def test_plan_splits_the_fewest_times_and_pads_what_they_divide(args, shape):
+    plan = _plan(*args)
+    assert (plan.padded, plan.depth, plan.leaf, plan.count) == shape
 
 
 def test_recursive_peak_memory_transposed_a(nprng):
@@ -490,14 +539,15 @@ def test_recursive_rank_above_free_blocks(nprng):
 
 
 def test_spilling_workspace_holds_every_level():
-    # rank 13 pads 40 to p = 64 and 512 to itself; its stacks spill, so S
-    # holds every level's stack, rank * (p / n^(level + 1))^2 entries
-    # (rank + 1 blocks at the leaf parent).  Rank 7 does not spill: S is the
-    # top node's stack alone, as in mul-strassen's 2048/256
+    # rank 13 splits 40 three times to leaves of 5 and 512 to leaves of 64,
+    # neither padded; its stacks spill, so S holds every level's stack,
+    # rank * (p / n^(level + 1))^2 entries (rank + 1 blocks at the leaf
+    # parent).  Rank 7 does not spill: S is the top node's stack alone, as in
+    # mul-strassen's 2048/256
     n, rank = 2, 13
     plan = _plan(n, rank, 40, 8)
-    assert plan.spill and (plan.padded, plan.depth, plan.leaf) == (64, 3, 8)
-    assert plan.workspace == 13 * 32**2 + 13 * 16**2 + 14 * 8**2
+    assert plan.spill and (plan.padded, plan.depth, plan.leaf) == (40, 3, 5)
+    assert plan.workspace == 13 * 20**2 + 13 * 10**2 + 14 * 5**2
     plan = _plan(n, rank, 512, 64)
     assert plan.spill and (plan.padded, plan.depth) == (512, 3)
     assert plan.workspace == 13 * 256**2 + 13 * 128**2 + 14 * 64**2

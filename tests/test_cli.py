@@ -502,7 +502,7 @@ def test_analyze_file(tmp_path, capsys):
 
 
 def test_multiply_end_to_end(tmp_path, capsys, nprng):
-    # 6^2 at cutoff 1, and 100^2 at cutoff 8, padded to 128^2
+    # 6^2 at cutoff 1, and 100^2 at cutoff 8, padded to 112^2
     dec = gen_lattice(tmp_path, capsys)
     fa, fb, fc = (tmp_path / x for x in ("a.txt", "b.txt", "c.txt"))
     for size, cutoff in ((6, "1"), (100, "8")):
@@ -518,7 +518,7 @@ def test_multiply_end_to_end(tmp_path, capsys, nprng):
 def test_default_cutoff_runs_the_plain_product(tmp_path, capsys, monkeypatch, nprng):
     # without --cutoff, multiply and bench run A @ B on the inputs as given
     # (depth 0, size^3 multiplications); --cutoff 16 still recurses, 300
-    # padded to 512 and split 5 times
+    # padded to 320 and split 5 times
     dec = gen_lattice(tmp_path, capsys)
     fa, fb, fc = (str(tmp_path / x) for x in ("a.txt", "b.txt", "c.txt"))
     save_matrix(nprng.standard_normal((300, 300)), fa)
@@ -637,6 +637,23 @@ def test_bench_n1_exits_2(tmp_path, capsys, cutoff):
     assert (code, out, err) == (2, "", "error: benchmark needs n >= 2 for its exponent estimate, got n=1\n")
 
 
+def test_multiply_n1_below_the_cutoff_is_the_plain_product(tmp_path, capsys, nprng):
+    # at or below the cutoff nothing splits, so a 1x1 scheme multiplies any
+    # size; above it there is nothing a 1x1 scheme can split into
+    path = gen_lattice(tmp_path, capsys, 1)
+    fa, fb, fc = (tmp_path / x for x in ("a.txt", "b.txt", "c.txt"))
+    save_matrix(nprng.standard_normal((2, 2)), fa)
+    save_matrix(nprng.standard_normal((2, 2)), fb)
+    assert run(capsys, "multiply", str(path), str(fa), str(fb), "-o", str(fc)) == (0, f"wrote {fc}\n", "")
+    assert np.array_equal(load_matrix(fc), load_matrix(fa) @ load_matrix(fb))
+    fc.unlink()
+    code, out, err = run(capsys, "multiply", str(path), str(fa), str(fb), "-o", str(fc), "--cutoff", "1")
+    assert (code, out, err) == (2, "", "error: a 1x1 scheme cannot split a larger matrix\n")
+    assert not fc.exists()
+    code, out, err = run(capsys, "bench", str(path), "--sizes", "2")
+    assert (code, out, err) == (2, "", "error: benchmark needs n >= 2 for its exponent estimate, got n=1\n")
+
+
 @pytest.mark.parametrize("command,cutoff", [("multiply", "0"), ("bench", "-1")])
 def test_cutoff_below_1_exits_2(tmp_path, capsys, command, cutoff):
     dec, fa, fc = gen_lattice(tmp_path, capsys), tmp_path / "a.txt", tmp_path / "C.txt"
@@ -728,7 +745,7 @@ def _spilling_rank12():
     ids=["orbit-depths-0-1-2", "orbit-padded", "spill12"],
 )
 def test_bench_is_accurate_at_cutoff_8(tmp_path, capsys, scheme, sizes):
-    # sizes 2, 16 and 24 run depths 0, 1 and 2, 100 is padded to 128, and
+    # sizes 2, 16 and 24 run depths 0, 1 and 2, 100 is padded to 112, and
     # the rank-12 file, which verify accepts, spills at 40
     path = tmp_path / f"{scheme}.json"
     if scheme == "orbit":
